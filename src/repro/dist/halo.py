@@ -160,7 +160,7 @@ class LocalSpmvExecutor:
             local = block[:, cols]
             local.sort_indices()
             # each node picks its substrate for its own local block
-            # (explicit > REPRO_SUBSTRATE > per-matrix heuristic);
+            # (explicit > REPRO_SUBSTRATE > CSR);
             # resolved now, built lazily on first use
             self.nodes.append(LocalNode(
                 rank=k, rows=rows, cols=cols, local_matrix=local,

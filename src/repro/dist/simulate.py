@@ -93,6 +93,7 @@ from repro.grid import Grid3D, stencil_coo
 from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import Problem
 from repro.util.errors import InvalidValue
+from repro.util.reduction import blocked_dot
 from repro.util.timer import TimerRegistry
 
 
@@ -526,7 +527,7 @@ class SimulatedDistRun:
 
     # --- exact numerics ------------------------------------------------------
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        value = float(np.dot(u, v))
+        value = blocked_dot(u, v)
         self._dot_comm(u.shape[0])
         return value
 

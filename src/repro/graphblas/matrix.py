@@ -6,9 +6,9 @@ operations) and delegates its *hot* paths — ``mxv``, masked ``mxv``,
 the ``transpose_matrix`` descriptor, the fused RBGS product — to a
 :mod:`repro.graphblas.substrate` kernel provider selected per matrix:
 
-* the substrate is chosen at construction by the registry's structure
-  heuristic, forced globally via ``REPRO_SUBSTRATE``, or pinned
-  explicitly (``Matrix(csr, substrate="sellcs")`` /
+* the substrate is CSR unless forced globally via ``REPRO_SUBSTRATE``
+  (a provider name, or ``model`` for profile-priced selection) or
+  pinned explicitly (``Matrix(csr, substrate="sellcs")`` /
   :meth:`set_substrate`) — the paper's per-container format freedom;
 * every provider is bit-identical to the CSR reference, so the choice
   is invisible to algorithm code (Section III-B's claim, enforced by
@@ -109,11 +109,14 @@ class Matrix:
         if r.size:
             if r.min() < 0 or r.max() >= nrows or c.min() < 0 or c.max() >= ncols:
                 raise InvalidValue("coordinate out of range")
-        key = r * ncols + c
-        has_dups = np.unique(key).size != key.size
+        # scipy sums duplicates while building CSR (matching plus), so a
+        # shrunken nnz is the duplicate check: no separate sort of keys
+        csr = sp.coo_matrix((v, (r, c)), shape=(nrows, ncols)).tocsr()
+        has_dups = csr.nnz < r.size
         if has_dups and dup_op is None:
             raise InvalidValue("duplicate coordinates and no dup_op given")
         if has_dups and not (dup_op.ufunc is np.add):
+            key = r * ncols + c
             order = np.argsort(key, kind="stable")
             key_s, r_s, c_s, v_s = key[order], r[order], c[order], v[order]
             boundaries = np.flatnonzero(np.diff(key_s)) + 1
@@ -126,10 +129,8 @@ class Matrix:
                     acc = dup_op(acc, v_s[k])
                 out_vals[i] = acc
             coo = sp.coo_matrix((out_vals, (r_s[starts], c_s[starts])), shape=(nrows, ncols))
-        else:
-            # scipy's duplicate handling sums entries, matching plus.
-            coo = sp.coo_matrix((v, (r, c)), shape=(nrows, ncols))
-        return cls(coo.tocsr(), substrate=substrate)
+            csr = coo.tocsr()
+        return cls(csr, substrate=substrate)
 
     @classmethod
     def from_dense(cls, array, dtype=None, substrate: Optional[str] = None) -> "Matrix":
@@ -179,7 +180,7 @@ class Matrix:
     # --- substrate ---------------------------------------------------------
     @property
     def substrate(self) -> str:
-        """The active provider name (explicit pin > env force > heuristic)."""
+        """The active provider name (explicit pin > env force > CSR)."""
         if self._substrate is None:
             self._substrate = substrate_mod.resolve(
                 self._csr, self._substrate_request
@@ -249,8 +250,8 @@ class Matrix:
         self._csr_t = None
         self._mask_cache.clear()
         self._version += 1
-        # re-resolve on next use: the structure (and with it the
-        # heuristic's choice) may have changed
+        # re-resolve on next use: the structure (and with it a
+        # model-mode choice) may have changed
         self._substrate = None
         self._provider = None
         self._provider_t = None
@@ -288,13 +289,13 @@ class Matrix:
         out = Vector.sparse(n, dtype=self.dtype)
         d = self._csr.diagonal()
         # Presence: (i, i) stored in the pattern.  scipy's diagonal() cannot
-        # distinguish stored zeros from absent; recover presence from indptr.
-        present = np.zeros(n, dtype=bool)
+        # distinguish stored zeros from absent; recover presence from the
+        # (canonical, so at most one per row) column indices of rows < n.
         indptr, indices = self._csr.indptr, self._csr.indices
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            pos = np.searchsorted(indices[lo:hi], i)
-            present[i] = pos < hi - lo and indices[lo + pos] == i
+        row_of = np.repeat(np.arange(n, dtype=indices.dtype),
+                           np.diff(indptr[:n + 1]))
+        present = np.zeros(n, dtype=bool)
+        present[row_of[indices[:indptr[n]] == row_of]] = True
         out._values[:n] = d
         out._present[:] = present
         out._bump()

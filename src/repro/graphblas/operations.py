@@ -36,6 +36,7 @@ from repro.graphblas.ops import BinaryOp, UnaryOp
 from repro.graphblas.semiring import Semiring, plus_times
 from repro.graphblas.vector import Vector
 from repro.util.errors import DimensionMismatch, InvalidValue, OutputAliasing
+from repro.util.reduction import blocked_dot
 
 __all__ = [
     "mxv",
@@ -548,7 +549,7 @@ def dot(u: Vector, v: Vector, semiring: Semiring = plus_times):
     if semiring.is_plus_times and u.is_dense() and v.is_dense():
         if backend.active():
             backend.record("dot", 1, 0, 2 * u.size, u.size * 16)
-        return float(np.dot(u._values, v._values))
+        return blocked_dot(u._values, v._values)
     both = u._present & v._present
     products = semiring.mul.vectorized(u._values[both], v._values[both])
     if backend.active():

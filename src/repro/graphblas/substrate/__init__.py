@@ -13,12 +13,11 @@ Public surface:
 * :class:`CsrProvider`, :class:`SellCSigmaProvider`,
   :class:`BlockedDenseProvider` — the three built-in formats;
 * :func:`register` / :func:`available` / :func:`get` — the registry;
-* :func:`choose` / :func:`choose_model` / :func:`resolve` /
-  :func:`make` — per-matrix auto-selection (``REPRO_SUBSTRATE`` forces
-  every unpinned matrix; ``REPRO_SUBSTRATE=model`` or
-  ``selection="model"`` prices candidates with the measured
-  :mod:`repro.tune` machine profile, falling back to the structure
-  heuristic when none is cached);
+* :func:`resolve` / :func:`make` / :func:`choose_model` — per-matrix
+  selection: an explicit pin, else the ``REPRO_SUBSTRATE`` force, else
+  CSR.  ``REPRO_SUBSTRATE=model`` or ``selection="model"`` prices the
+  candidates with the measured :mod:`repro.tune` machine profile
+  (CSR when none is cached); nothing is guessed from structure;
 * :class:`ColorSweep` — the fused multi-colour Gauss-Seidel sweep
   capability every provider serves (the smoother fast path);
 * :mod:`~repro.graphblas.substrate.jit` — the optional numba-compiled
@@ -36,11 +35,9 @@ from repro.graphblas.substrate.base import (
 from repro.graphblas.substrate.blocked import BlockedDenseProvider
 from repro.graphblas.substrate.csr import CsrProvider
 from repro.graphblas.substrate.registry import (
-    AUTO_MIN_SIZE,
     ENV_VAR,
     MODEL,
     available,
-    choose,
     choose_model,
     forced,
     get,
@@ -62,7 +59,6 @@ __all__ = [
     "register",
     "available",
     "get",
-    "choose",
     "choose_model",
     "resolve",
     "make",
@@ -70,5 +66,4 @@ __all__ = [
     "validate_request",
     "ENV_VAR",
     "MODEL",
-    "AUTO_MIN_SIZE",
 ]

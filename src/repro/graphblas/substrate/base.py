@@ -41,7 +41,7 @@ import scipy.sparse as sp
 class MatrixProfile:
     """Structure statistics driving per-matrix format selection.
 
-    These are the quantities the auto-selection heuristic reads: size,
+    These are the quantities model-driven selection reads: size,
     density, and the shape of the row-length distribution (its mean and
     coefficient of variation).  A 27-point stencil row block has
     ``cv ≈ 0.2`` (fixed-length interior rows, shorter boundary rows); a

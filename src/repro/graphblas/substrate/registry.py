@@ -1,4 +1,4 @@
-"""Provider registry, forcing, and the per-matrix selection heuristic.
+"""Provider registry, forcing, and per-matrix selection.
 
 Selection order, mirroring how ALP picks a backend:
 
@@ -10,29 +10,23 @@ Selection order, mirroring how ALP picks a backend:
    *unpinned* matrix onto one provider — the CI lever proving the
    algorithm layer is substrate-independent — or, with
    ``REPRO_SUBSTRATE=model``, onto model-driven selection;
-3. otherwise :func:`choose` inspects the matrix structure.
+3. otherwise the matrix stays on CSR, at every size and shape.
 
 **Model-driven selection** (``"model"``, either as a pin, as a
 ``selection="model"`` argument to :func:`resolve`/:func:`make`, or via
 the environment force) prices every registered provider with the
 measured per-format byte rates of the cached
 :class:`repro.tune.MachineProfile` and picks the cheapest
-structurally-safe one.  When no profile is cached (or it is stale or
-schema-incompatible) the mode falls back to the structure heuristic
-below, silently — an uncalibrated machine behaves exactly as before.
+structurally-safe one (:mod:`repro.tune.select`).  When no profile is
+cached (or it is stale or schema-incompatible) the mode falls back to
+CSR, silently.
 
-The heuristic reads three signals from :class:`MatrixProfile` (size,
-row-length coefficient of variation, density):
-
-* small matrices stay on CSR — the coarse MG levels and test matrices
-  never amortise a format conversion (``AUTO_MIN_SIZE`` rows);
-* near-constant row lengths with substantial rows (the 27-point
-  stencil: cv ≈ 0.2, ~27 nnz/row) take the dense-blocked provider,
-  whose per-block ``x`` reuse is built for exactly that shape;
-* moderately varying rows take SELL-C-σ, whose sorted slices keep
-  vector lanes busy without ELLPACK's worst-case padding;
-* heavy skew (power-law-ish, cv > 2) falls back to CSR, where padding
-  cannot explode.
+A non-CSR format therefore comes only from a pin, the force, or a
+measured win.  Nothing is inferred from matrix structure alone:
+``python -m repro.tune measure --fast`` on a 2-vCPU Xeon VM (numba
+absent) rates CSR SpMV at 9–16 GB/s on every probed shape against at
+most 1.1 GB/s for ``sellcs`` and ``blocked``, so a structural guess
+that moves a matrix off CSR makes it slower.
 """
 
 from __future__ import annotations
@@ -52,9 +46,6 @@ ENV_VAR = "REPRO_SUBSTRATE"
 
 #: the selection-mode sentinel: not a provider, a way of choosing one
 MODEL = "model"
-
-#: below this many rows auto-selection always stays on CSR
-AUTO_MIN_SIZE = 32768
 
 _REGISTRY: Dict[str, Type[KernelProvider]] = {}
 
@@ -121,34 +112,12 @@ def validate_request(name: str) -> str:
     return name
 
 
-def choose(csr: sp.csr_matrix) -> str:
-    """Pick a provider name from the matrix structure (rule order matters).
-
-    Besides the row-length *distribution*, the gates bound the *maximum*
-    row length relative to the mean: one outlier megarow barely moves
-    the cv of a large matrix, but blocked-dense pads every block to the
-    global maximum width (memory explodes) and SELL-C-σ pays one lane
-    pass per entry of its widest row (mxv degenerates to a scalar loop).
-    """
-    p = MatrixProfile.from_csr(csr)
-    if p.nrows < AUTO_MIN_SIZE or p.nnz == 0:
-        return CsrProvider.name
-    if p.density > 0.25:
-        return BlockedDenseProvider.name
-    if (p.cv_row_nnz <= 0.25 and p.mean_row_nnz >= 8.0
-            and p.max_row_nnz <= 2.0 * p.mean_row_nnz):
-        return BlockedDenseProvider.name
-    if p.cv_row_nnz <= 2.0 and p.max_row_nnz <= 16.0 * p.mean_row_nnz:
-        return SellCSigmaProvider.name
-    return CsrProvider.name
-
-
 def choose_model(csr: sp.csr_matrix, profile=None) -> str:
     """Pick a provider by predicted cost under a measured profile.
 
     ``profile`` defaults to the cached :func:`repro.tune.current_profile`;
-    with none available this degrades to :func:`choose` — model mode on
-    an uncalibrated machine is exactly the heuristic, no warnings.
+    with none available the answer is CSR — model mode on an
+    uncalibrated machine is the default, no warnings.
     """
     from repro.tune import cache as tune_cache
     from repro.tune import select as tune_select
@@ -156,10 +125,10 @@ def choose_model(csr: sp.csr_matrix, profile=None) -> str:
     if profile is None:
         profile = tune_cache.current_profile()
     if profile is None:
-        return choose(csr)
+        return CsrProvider.name
     p = MatrixProfile.from_csr(csr)
     return tune_select.choose_model(p, profile, available(),
-                                    min_size=AUTO_MIN_SIZE)
+                                    min_size=tune_select.AUTO_MIN_SIZE)
 
 
 def _decided(csr: sp.csr_matrix, request: Optional[str],
@@ -168,27 +137,39 @@ def _decided(csr: sp.csr_matrix, request: Optional[str],
 
     ``reason`` names the rung of the selection ladder that fired:
     ``pin`` (explicit request), ``env`` (``REPRO_SUBSTRATE`` force),
-    ``model`` (profile-priced) or ``heuristic`` (structure rules).
+    ``model`` (profile-priced) or ``default`` (CSR).  With a tune
+    profile cached the record also carries ``profile_choice`` — what
+    model mode would pick — and ``contradicts_profile``, so a decision
+    the machine's own measurements disagree with is flagged.
     Free when observability is off: one lazy import + one stack read.
     """
     from repro import obs
 
     if obs.enabled():
-        obs.record_selection(
+        from repro.tune import cache as tune_cache
+
+        fields = dict(
             nrows=int(csr.shape[0]), ncols=int(csr.shape[1]),
             nnz=int(csr.nnz), request=request, selection=selection,
             chosen=chosen, reason=reason,
         )
+        profile = tune_cache.current_profile()
+        if profile is not None:
+            profile_choice = choose_model(csr, profile)
+            fields.update(profile_choice=profile_choice,
+                          contradicts_profile=chosen != profile_choice)
+        obs.record_selection(**fields)
     return chosen
 
 
 def resolve(csr: sp.csr_matrix, request: Optional[str] = None,
             selection: Optional[str] = None) -> str:
-    """Apply the selection order: explicit > environment force > automatic.
+    """Apply the selection order: explicit > environment force > CSR.
 
     ``request`` is a provider name (or ``"model"``, equivalent to
-    ``selection="model"``); ``selection`` picks the automatic mode —
-    ``"heuristic"`` (default), ``"model"``, or ``None``/``"auto"``.
+    ``selection="model"``); ``selection`` is ``"model"`` — a pin on
+    model-driven selection, beating the environment force exactly as
+    an explicit provider request does — or ``None``/``"auto"``.
 
     When observability is enabled every call records its decision —
     which provider was chosen and *why* — on the run manifest (see
@@ -199,23 +180,17 @@ def resolve(csr: sp.csr_matrix, request: Optional[str] = None,
     if request is not None:
         get(request)
         return _decided(csr, request, selection, request, "pin")
-    if selection not in (None, "auto", "heuristic", MODEL):
+    if selection not in (None, "auto", MODEL):
         raise InvalidValue(
-            f"unknown selection mode {selection!r}; expected "
-            f"'heuristic' or 'model'"
+            f"unknown selection mode {selection!r}; expected 'model' "
+            f"or 'auto'"
         )
-    # an explicit selection mode is a pin: it beats the env force,
-    # exactly as an explicit provider request does
-    if selection == MODEL:
-        return _decided(csr, request, selection, choose_model(csr), "model")
-    if selection == "heuristic":
-        return _decided(csr, request, selection, choose(csr), "heuristic")
-    env = forced()
-    if env == MODEL:
+    env = None if selection == MODEL else forced()
+    if selection == MODEL or env == MODEL:
         return _decided(csr, request, selection, choose_model(csr), "model")
     if env is not None:
         return _decided(csr, request, selection, env, "env")
-    return _decided(csr, request, selection, choose(csr), "heuristic")
+    return _decided(csr, request, selection, CsrProvider.name, "default")
 
 
 def make(csr: sp.csr_matrix, request: Optional[str] = None,

@@ -543,6 +543,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{len(obs_ctx.tracer.spans)} spans "
               f"({obs_ctx.tracer.dropped} dropped), "
               f"{len(obs_ctx.metrics.names())} metrics")
+        for d in obs_ctx.manifest.decisions:
+            if d.get("contradicts_profile"):
+                print(f"  substrate {d['nrows']}x{d['ncols']} "
+                      f"(nnz {d['nnz']}): {d['chosen']} ({d['reason']}) "
+                      f"contradicts the profile's {d['profile_choice']}")
         if args.trace_json:
             print(f"  trace   -> {obs.export.write_trace(args.trace_json, obs_ctx)}")
         if args.metrics_json:

@@ -95,8 +95,8 @@ def build_hierarchy(
             return RBGSSmoother(A, A_diag, colors, fused=fused)
     stencil = getattr(problem, "stencil", "27pt")
     # honour the problem's substrate pin on every coarse operator; None
-    # leaves each level to the per-matrix heuristic (the coarse levels
-    # are small enough that auto-selection keeps them on CSR).
+    # leaves each level to the registry (CSR unless REPRO_SUBSTRATE
+    # forces a provider or model-driven selection).
     substrate = getattr(problem, "substrate", None)
 
     def make_level(index: int, grid: Grid3D, A: grb.Matrix,

@@ -64,8 +64,9 @@ def build_operator(grid: Grid3D, stencil: Stencil = "27pt",
                    substrate: Optional[str] = None) -> grb.Matrix:
     """The stencil operator as a GraphBLAS matrix (27-point = HPCG).
 
-    ``substrate`` pins the storage format/kernel provider; the default
-    lets the registry heuristic pick per matrix (paper Section III-B).
+    ``substrate`` pins the storage format/kernel provider (paper
+    Section III-B); the default leaves the matrix to the registry,
+    which keeps it on CSR unless ``REPRO_SUBSTRATE`` says otherwise.
     """
     rows, cols, vals = stencil_coo(grid, stencil)
     return grb.Matrix.from_coo(rows, cols, vals, grid.npoints, grid.npoints,

@@ -62,13 +62,16 @@ def to_dict(result: HPCGResult, profile=None, obs_ctx=None,
         }
     obs_section = {}
     if obs_ctx is not None:
+        decisions = obs_ctx.manifest.decisions
         obs_section = {
             "Observability": {
                 "Run ID": obs_ctx.run_id,
                 "Spans Recorded": len(obs_ctx.tracer.spans),
                 "Spans Dropped": obs_ctx.tracer.dropped,
                 "Metrics": len(obs_ctx.metrics.names()),
-                "Substrate Decisions": len(obs_ctx.manifest.decisions),
+                "Substrate Decisions": len(decisions),
+                "Contradicting Profile": sum(
+                    bool(d.get("contradicts_profile")) for d in decisions),
             }
         }
     diff_section = {}

@@ -10,8 +10,10 @@ the *what* — so any result file can answer "how was this run
 configured, and why did it pick these kernels?".
 
 Selection decisions carry their **reason** (``pin``, ``env``,
-``model``, ``heuristic``) as recorded by
-:mod:`repro.graphblas.substrate.registry` at resolve time; seeds and
+``model``, ``default``) as recorded by
+:mod:`repro.graphblas.substrate.registry` at resolve time — and, when a
+tune profile is cached, ``profile_choice`` / ``contradicts_profile``
+flagging decisions the machine's own measurements disagree with; seeds and
 arbitrary config are recorded by whoever owns them (the driver records
 its CLI, simulated runs record backend/partition/machine).
 """

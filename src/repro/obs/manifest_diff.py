@@ -12,7 +12,7 @@ its reason.  :func:`diff_manifests` compares two of them structurally:
 * a decision diff: substrate selections are keyed by the matrix they
   describe (shape + nnz + request), so a forced-substrate run against
   a default run reports *which matrices* changed format **and why**
-  (``heuristic -> env``), not just that something did.
+  (``default -> env``), not just that something did.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.util.errors import DimensionMismatch
+from repro.util.reduction import blocked_dot
 
 
 def compute_spmv(y: np.ndarray, A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -48,7 +49,7 @@ def compute_dot(x: np.ndarray, y: np.ndarray) -> float:
     """``x' y``."""
     if x.shape != y.shape:
         raise DimensionMismatch(f"dot sizes: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
+    return blocked_dot(x, y)
 
 
 def compute_residual_norm(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray) -> float:

@@ -1,9 +1,10 @@
-"""Model-driven substrate selection: measured rates instead of thresholds.
+"""Model-driven substrate selection: measured rates, not assumed ones.
 
-The structure heuristic in :mod:`repro.graphblas.substrate.registry`
-encodes *assumed* format strengths as hand-tuned thresholds.  This
-module replaces the assumption with arithmetic over a measured
-:class:`~repro.tune.profile.MachineProfile`:
+Unpinned, unforced matrices stay on CSR
+(:mod:`repro.graphblas.substrate.registry`).  This module is the only
+way a non-CSR format is chosen automatically, and it chooses one only
+when a measured :class:`~repro.tune.profile.MachineProfile` says it is
+faster:
 
 1. classify the matrix's :class:`MatrixProfile` onto the shape grid the
    SpMV probes covered (``uniform`` / ``highcv`` / ``dense``);
@@ -15,9 +16,9 @@ module replaces the assumption with arithmetic over a measured
 3. pick the cheapest candidate.
 
 Structural *guards* stay: tiny matrices never amortise a format
-conversion regardless of steady-state rates, and a single outlier
-megarow can explode blocked/SELL-C-σ storage in ways no steady-state
-rate captures — those remain hard gates, as in the heuristic.
+conversion regardless of steady-state rates (:data:`AUTO_MIN_SIZE`),
+and a single outlier megarow can explode blocked/SELL-C-σ storage in
+ways no steady-state rate captures — those remain hard gates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from repro.tune.profile import SHAPE_CLASSES, MachineProfile
 _CSR = "csr"
 _SELLCS = "sellcs"
 _BLOCKED = "blocked"
+
+#: Model mode's conversion-amortisation floor: below this many rows
+#: the answer is CSR whatever the measured rates say.
+AUTO_MIN_SIZE = 32768
 
 
 def shape_class(p: MatrixProfile) -> str:
@@ -52,10 +57,10 @@ def candidates(p: MatrixProfile,
                names: Iterable[str]) -> Dict[str, bool]:
     """Which registered providers are structurally safe for ``p``.
 
-    The gates mirror the heuristic's pathology bounds: blocked-dense
-    pads every block to the widest row (memory explodes on skew unless
-    the matrix is genuinely dense), and SELL-C-σ degenerates to a
-    scalar loop past extreme skew.  CSR is always safe.
+    The gates are pathology bounds: blocked-dense pads every block to
+    the widest row (memory explodes on skew unless the matrix is
+    genuinely dense), and SELL-C-σ degenerates to a scalar loop past
+    extreme skew.  CSR is always safe.
     """
     mean = p.mean_row_nnz or 1.0
     out: Dict[str, bool] = {}
@@ -84,10 +89,11 @@ def choose_model(p: MatrixProfile, profile: MachineProfile,
                  min_size: int = 0) -> str:
     """The cheapest structurally-safe provider under the profile.
 
-    ``min_size`` is the registry's conversion-amortisation floor
-    (``AUTO_MIN_SIZE``): below it the answer is CSR no matter what the
-    steady-state rates say, because selection happens at construction
-    time and small operators never pay back a format build.
+    ``min_size`` is the conversion-amortisation floor (the registry
+    passes :data:`AUTO_MIN_SIZE`): below it the answer is CSR no matter
+    what the steady-state rates say, because selection happens at
+    construction time and small operators never pay back a format
+    build.
     """
     names = list(names)
     if _CSR not in names:
@@ -104,6 +110,7 @@ def choose_model(p: MatrixProfile, profile: MachineProfile,
 
 
 __all__ = [
+    "AUTO_MIN_SIZE",
     "SHAPE_CLASSES",
     "shape_class",
     "useful_bytes",

@@ -38,6 +38,39 @@ class TestConstruction:
         with pytest.raises(InvalidValue):
             Matrix.from_coo([0, 0], [0, 0], [1.0, 2.0], 1, 1)
 
+    def test_from_coo_one_duplicate_among_many_raises(self):
+        """The duplicate check sees a single repeated coordinate in an
+        otherwise duplicate-free stencil-sized input."""
+        n = 200
+        rows = np.repeat(np.arange(n), 3)
+        cols = (rows + np.tile([0, 1, 2], n)) % n
+        rows, cols = np.append(rows, 57), np.append(cols, cols[57 * 3])
+        with pytest.raises(InvalidValue, match="duplicate"):
+            Matrix.from_coo(rows, cols, np.ones(rows.size), n, n)
+
+    def test_from_coo_non_plus_dup_op_is_segmented(self):
+        """A non-plus dup_op combines each duplicate group with the op
+        (not with scipy's summation) and leaves singletons alone."""
+        rows = [0, 1, 0, 2, 0, 1]
+        cols = [0, 1, 0, 2, 0, 1]
+        vals = [5.0, 4.0, 9.0, 7.0, 2.0, -1.0]
+        A = Matrix.from_coo(rows, cols, vals, 3, 3, dup_op=grb.ops.min_)
+        assert A.nvals == 3
+        np.testing.assert_array_equal(
+            A.to_scipy().toarray(), np.diag([2.0, -1.0, 7.0]))
+
+    def test_from_coo_explicit_zeros_survive(self):
+        # a stored zero, and a plus-combined duplicate pair summing to 0
+        A = Matrix.from_coo([0, 1, 1, 2], [0, 1, 1, 0],
+                            [0.0, 3.0, -3.0, 1.0], 3, 3,
+                            dup_op=grb.ops.plus)
+        assert A.nvals == 3
+        assert A.extract_element(0, 0) == 0.0
+        assert A.extract_element(1, 1) == 0.0
+        assert A.extract_element(2, 0) == 1.0
+        B = Matrix.from_coo([0, 2], [2, 2], [0.0, 0.0], 3, 3)
+        assert B.nvals == 2
+
     def test_from_coo_out_of_range(self):
         with pytest.raises(InvalidValue):
             Matrix.from_coo([2], [0], [1.0], 2, 2)
@@ -118,6 +151,36 @@ class TestWholeContainer:
         d = A.diag()
         assert d.extract_element(0) == 0.0  # stored zero is an entry
         assert d.extract_element(1) is None
+
+    def test_diag_presence_matches_pattern(self):
+        """Stored zeros on the diagonal are present; rows with entries
+        on both sides of (i, i) but not on it, and empty rows, are
+        absent."""
+        dense = np.array([[0.0, 1.0, 0.0, 0.0],
+                          [2.0, 0.0, 3.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 4.0, 5.0]])
+        rows, cols = np.nonzero(dense)
+        A = Matrix.from_coo(np.append(rows, 0), np.append(cols, 0),
+                            np.append(dense[rows, cols], 0.0), 4, 4)
+        d = A.diag()
+        np.testing.assert_array_equal(d._present, [True, False, False, True])
+        assert d.extract_element(0) == 0.0
+        assert d.extract_element(3) == 5.0
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_diag_rectangular(self, shape):
+        """Length min(nrows, ncols); entries past the square part (extra
+        rows, or extra columns) never count as diagonal."""
+        nrows, ncols = shape
+        rows = [0, 0, 1, 2, nrows - 1, 1]
+        cols = [0, ncols - 1, 0, 2, 1, 2]
+        A = Matrix.from_coo(rows, cols, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                            nrows, ncols)
+        d = A.diag()
+        assert d.size == 3
+        np.testing.assert_array_equal(d._present, [True, False, True])
+        assert d.extract_element(0) == 1.0 and d.extract_element(2) == 4.0
 
     def test_to_coo_roundtrip(self):
         A = small()

@@ -7,6 +7,7 @@ import json
 import time
 
 import pytest
+import scipy.sparse as sp
 
 from repro import graphblas as grb
 from repro import obs
@@ -244,18 +245,55 @@ class TestManifest:
         monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         csr = problem4.A.to_scipy().tocsr()
         with obs.run() as ctx:
-            substrate_registry.resolve(csr)                    # heuristic
+            substrate_registry.resolve(csr)                    # default
             substrate_registry.resolve(csr, request="sellcs")  # pin
             monkeypatch.setenv("REPRO_SUBSTRATE", "csr")
             substrate_registry.resolve(csr)                    # env force
             reasons = [d["reason"] for d in ctx.manifest.decisions]
             chosen = [d["chosen"] for d in ctx.manifest.decisions]
-        assert reasons == ["heuristic", "pin", "env"]
+        assert reasons == ["default", "pin", "env"]
         assert chosen[1] == "sellcs" and chosen[2] == "csr"
         # decisions double as trace events
         assert len(ctx.tracer.find("substrate_selection")) == 3
 
-    def test_decisions_free_when_disabled(self, problem4):
+    def test_decision_contradicting_profile_is_flagged(self, tmp_path,
+                                                       monkeypatch):
+        """With a cached profile in which blocked wins, the default CSR
+        decision at 32^3 carries the model's pick and is flagged; a
+        matching pin and a below-floor matrix are not."""
+        from repro.grid import Grid3D, stencil_coo
+        from repro.tune import cache as tune_cache
+        from repro.tune.profile import synthetic_profile
+
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
+        monkeypatch.setenv(tune_cache.ENV_VAR, str(tmp_path))
+        tune_cache.invalidate()
+        grid = Grid3D(32, 32, 32)
+        rows, cols, vals = stencil_coo(grid, "27pt")
+        big = sp.csr_matrix((vals, (rows, cols)),
+                            shape=(grid.npoints, grid.npoints))
+        small = sp.identity(8, format="csr")
+        try:
+            with obs.run() as ctx:
+                substrate_registry.resolve(big)                  # unflagged
+                tune_cache.save_profile(synthetic_profile())
+                substrate_registry.resolve(big)                  # default
+                substrate_registry.resolve(big, request="blocked")
+                substrate_registry.resolve(small)
+                decisions = ctx.manifest.decisions
+        finally:
+            tune_cache.invalidate()
+        assert "profile_choice" not in decisions[0]
+        default, pinned, tiny = decisions[1:]
+        assert default["chosen"] == "csr" and default["reason"] == "default"
+        assert default["profile_choice"] == "blocked"
+        assert default["contradicts_profile"] is True
+        assert pinned["contradicts_profile"] is False
+        assert tiny["profile_choice"] == "csr"
+        assert tiny["contradicts_profile"] is False
+
+    def test_decisions_free_when_disabled(self, problem4, monkeypatch):
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         csr = problem4.A.to_scipy().tocsr()
         assert substrate_registry.resolve(csr) == "csr"  # no context: no-op
 
@@ -401,6 +439,36 @@ class TestDriverCLI:
             obs.export.validate_file(str(path), kind)
         out = capsys.readouterr().out
         assert "Observability" in out and "observability: run" in out
+        assert "Contradicting Profile: 0" in out
+        assert "contradicts the profile" not in out
+
+    def test_contradicted_decisions_are_printed(self, tmp_path, capsys,
+                                                monkeypatch):
+        """One line per decision the cached profile disagrees with (the
+        amortisation floor is lowered so an 8^3 run has some)."""
+        from repro.tune import cache as tune_cache
+        from repro.tune import select as tune_select
+        from repro.tune.profile import synthetic_profile
+
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
+        monkeypatch.setattr(tune_select, "AUTO_MIN_SIZE", 64)
+        monkeypatch.setenv(tune_cache.ENV_VAR, str(tmp_path))
+        tune_cache.save_profile(synthetic_profile())
+        try:
+            rc = driver_main([
+                "--nx", "8", "--iters", "1", "--mg-levels", "2",
+                "--manifest-json", str(tmp_path / "manifest.json"),
+                "--report",
+            ])
+        finally:
+            tune_cache.invalidate()
+        assert rc == 0
+        out = capsys.readouterr().out
+        flagged = [line for line in out.splitlines()
+                   if "contradicts the profile's" in line]
+        assert any(line.strip().startswith("substrate 512x512")
+                   and "csr (default)" in line for line in flagged)
+        assert f"Contradicting Profile: {len(flagged)}" in out
 
     def test_obs_validate_cli(self, tmp_path):
         from repro.obs.__main__ import main as validate_main

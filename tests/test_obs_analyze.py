@@ -269,6 +269,8 @@ class TestManifestDiff:
     def test_forced_substrate_change_carries_reason(self, monkeypatch):
         import repro.hpcg.problem as problem_mod
 
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
+
         with obs.run() as ctx:
             problem_mod.generate_problem(12)
         base = ctx.build_manifest()
@@ -286,7 +288,7 @@ class TestManifestDiff:
         assert changed, "the forced format must change recorded decisions"
         outcomes = " ".join(" ".join((change["old"] or {}) | (change["new"] or {}))
                             for change in changed)
-        assert "(env)" in outcomes and "(heuristic)" in outcomes
+        assert "(env)" in outcomes and "(default)" in outcomes
         text = manifest_diff.format_manifest_diff(diff)
         assert "substrate decisions" in text and "(env)" in text
 

@@ -28,6 +28,8 @@ from repro.hpcg.coloring import color_masks, lattice_coloring
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import generate_problem
 from repro.hpcg.smoothers import RBGSSmoother
+from repro.tune import select as tune_select
+from repro.tune.profile import synthetic_profile
 from repro.util.errors import InvalidValue
 
 common = settings(max_examples=25,
@@ -202,7 +204,7 @@ class TestProviderInterface:
 
 
 # ---------------------------------------------------------------------------
-# registry + selection heuristic
+# registry + automatic selection
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
@@ -270,53 +272,99 @@ class TestRegistry:
         grb.mxv(y1, None, m, x)
         assert np.array_equal(y0.to_dense(), y1.to_dense())
         m.set_substrate(None)
-        assert m.substrate == "csr"  # small matrix -> heuristic stays CSR
+        assert m.substrate == "csr"  # unpinned, unforced -> CSR
 
 
 class TestHeuristic:
+    """Automatic selection without a structure heuristic: CSR at every
+    size and shape unless model mode holds a measured profile in which
+    another format wins — and even then the pathology gates of
+    :func:`repro.tune.select.candidates` keep padded formats off skewed
+    matrices."""
+
+    N = tune_select.AUTO_MIN_SIZE   # large enough for model mode to act
+
+    #: a profile in which both padded formats beat CSR on every shape
+    PADDED_FAST = synthetic_profile(spmv_rates={
+        "csr": {"uniform": 1e9, "highcv": 1e9, "dense": 1e9},
+        "sellcs": {"uniform": 9e9, "highcv": 9e9, "dense": 9e9},
+        "blocked": {"uniform": 9e10, "highcv": 9e10, "dense": 9e10},
+    })
+
+    @pytest.fixture(autouse=True)
+    def _unforced(self, monkeypatch):
+        monkeypatch.delenv(substrate.ENV_VAR, raising=False)
+
     def test_small_matrices_stay_csr(self, problem8):
-        assert substrate.choose(problem8.A.to_scipy()) == "csr"
+        csr = problem8.A.to_scipy()
+        assert substrate.resolve(csr) == "csr"
+        # below the amortisation floor no profile can move it
+        assert substrate.choose_model(csr, profile=self.PADDED_FAST) == "csr"
 
     def test_stencil_rows_pick_blocked(self):
-        # a large fixed-row-length stencil-like band matrix
-        n = substrate.AUTO_MIN_SIZE
-        csr = sp.diags([1.0] * 9, offsets=range(-4, 5), shape=(n, n),
-                       format="csr")
-        prof = MatrixProfile.from_csr(csr.tocsr())
+        """Only a profile in which blocked wins moves stencil rows off
+        CSR; the default never guesses from the (blocked-friendly)
+        structure."""
+        csr = sp.diags([1.0] * 9, offsets=range(-4, 5),
+                       shape=(self.N, self.N), format="csr")
+        prof = MatrixProfile.from_csr(csr)
         assert prof.cv_row_nnz < 0.25
-        assert substrate.choose(csr.tocsr()) == "blocked"
+        assert substrate.resolve(csr) == "csr"
+        assert substrate.choose_model(csr, profile=synthetic_profile()) \
+            == "blocked"
 
     def test_moderate_variance_picks_sellcs(self, rng):
-        n = substrate.AUTO_MIN_SIZE
+        n = self.N
         row_nnz = rng.integers(1, 12, size=n)
         rows = np.repeat(np.arange(n), row_nnz)
         cols = rng.integers(0, n, size=rows.size)
         csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
         csr.sum_duplicates()
-        assert substrate.choose(csr) == "sellcs"
+        assert substrate.resolve(csr) == "csr"
+        assert substrate.choose_model(csr, profile=synthetic_profile()) \
+            == "sellcs"
 
     def test_single_megarow_rejects_padded_formats(self):
         """One outlier row barely moves the cv of a big matrix, but it
         poisons both padded formats (global-max block width; one lane
-        pass per megarow entry) — the max/mean gates must catch it."""
-        n = substrate.AUTO_MIN_SIZE
-        band = sp.diags([1.0] * 9, offsets=range(-4, 5), shape=(n, n),
-                        format="lil")
+        pass per megarow entry) — the max/mean gates must catch it
+        however fast the profile says those formats are."""
+        band = sp.diags([1.0] * 9, offsets=range(-4, 5),
+                        shape=(self.N, self.N), format="lil")
         band[0, :1000] = 1.0
         csr = band.tocsr()
         prof = MatrixProfile.from_csr(csr)
-        assert prof.cv_row_nnz <= 2.0  # would pass the variance gates...
-        assert substrate.choose(csr) == "csr"  # ...but not the max gates
+        assert prof.cv_row_nnz <= 2.0   # the variance looks tame...
+        assert substrate.choose_model(csr, profile=self.PADDED_FAST) \
+            == "csr"                    # ...but the max gates hold
 
-    def test_heavy_skew_falls_back_to_csr(self, rng):
-        n = substrate.AUTO_MIN_SIZE
-        # one megarow + singleton rows: cv blows past the sellcs gate
+    def test_heavy_skew_falls_back_to_csr(self):
+        n = self.N
+        # one megarow + singleton rows
         rows = np.concatenate([np.zeros(n // 2, dtype=np.int64),
                                np.arange(1, n, 50, dtype=np.int64)])
         cols = np.concatenate([np.arange(n // 2, dtype=np.int64),
                                np.zeros(rows.size - n // 2, dtype=np.int64)])
         csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        assert substrate.choose(csr) == "csr"
+        assert substrate.resolve(csr) == "csr"
+        assert substrate.choose_model(csr, profile=self.PADDED_FAST) \
+            == "csr"
+
+    def test_unpinned_32cubed_hierarchy_is_csr(self, tmp_path, monkeypatch):
+        """Regression: the smallest cube the old structure rules moved
+        onto ``blocked`` stays on CSR at every MG level when no profile
+        is cached."""
+        from repro.tune import cache as tune_cache
+
+        monkeypatch.setenv(tune_cache.ENV_VAR, str(tmp_path))
+        tune_cache.invalidate()
+        try:
+            problem = generate_problem(32)
+            assert problem.A.nrows >= self.N
+            levels = build_hierarchy(problem, levels=4).levels()
+            assert [lvl.A.substrate for lvl in levels] == ["csr"] * 4
+        finally:
+            tune_cache.invalidate()
 
     def test_resolution_order(self, monkeypatch):
         monkeypatch.delenv(substrate.ENV_VAR, raising=False)

@@ -8,10 +8,10 @@ The contracts this file enforces:
   like the equivalent hand-built machine, and profile-priced simulated
   runs keep bit-identical numerics (the pricing source must never
   touch the mathematics);
-* **model-driven selection** — on the reference shapes the structure
-  heuristic already classifies, ``selection="model"`` with the
-  synthetic profile agrees with the heuristic, and with no profile
-  cached it falls back silently.
+* **model-driven selection** — unforced selection is CSR on every
+  reference shape; ``selection="model"`` with a profile in which
+  another format wins picks that format, and with no profile cached
+  it falls back to CSR silently.
 """
 
 import json
@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from repro import graphblas as grb
 from repro.dist import BSPMachine, CommTracker, RefDistRun, bsp_time
 from repro.graphblas import substrate
-from repro.graphblas.substrate import registry
 from repro.graphblas.substrate.base import MatrixProfile
 from repro.grid import Grid3D, stencil_coo
 from repro.perf import ALP_PROFILE, MachineSpec, Placement, ScalingModel
@@ -277,14 +276,14 @@ class TestModelSelection:
     def small_gate(self, monkeypatch):
         """Shrink the conversion-amortisation floor so the reference
         shapes stay test-sized."""
-        monkeypatch.setattr(registry, "AUTO_MIN_SIZE", 64)
+        monkeypatch.setattr(tune_select, "AUTO_MIN_SIZE", 64)
 
     def reference_shapes(self):
         return {
             "tiny": sp.csr_matrix(np.eye(10)),
-            "uniform": stencil_csr(12),     # cv ~= 0.23: blocked
-            "highcv": highcv_csr(),         # skewed rows: sellcs
-            "dense": dense_csr(),           # density 0.4: blocked
+            "uniform": stencil_csr(12),     # cv ~= 0.23
+            "highcv": highcv_csr(),         # skewed rows
+            "dense": dense_csr(),           # density 0.4
         }
 
     def test_shape_classes(self):
@@ -295,22 +294,23 @@ class TestModelSelection:
         assert got["highcv"] == "highcv"
         assert got["dense"] == "dense"
 
-    def test_model_agrees_with_heuristic_on_reference_shapes(
-            self, small_gate):
+    def test_model_picks_profile_winner_on_reference_shapes(
+            self, small_gate, monkeypatch):
+        """The default is CSR on every shape; model mode leaves CSR
+        exactly where the (synthetic) profile prices another format
+        cheaper and the structure is safe for it."""
+        monkeypatch.delenv(substrate.ENV_VAR, raising=False)
         prof = synthetic_profile()
+        want = {"tiny": "csr", "uniform": "blocked", "highcv": "sellcs",
+                "dense": "blocked"}
         for name, csr in self.reference_shapes().items():
-            heuristic = substrate.choose(csr)
-            model = substrate.choose_model(csr, profile=prof)
-            assert model == heuristic, (
-                f"{name}: heuristic={heuristic} model={model}"
-            )
-        assert substrate.choose(self.reference_shapes()["tiny"]) == "csr"
+            assert substrate.resolve(csr) == "csr", name
+            assert substrate.choose_model(csr, profile=prof) == want[name]
 
     def test_no_profile_falls_back_silently(self, tmp_cache, small_gate,
                                             recwarn):
         for csr in self.reference_shapes().values():
-            assert (substrate.resolve(csr, selection="model")
-                    == substrate.choose(csr))
+            assert substrate.resolve(csr, selection="model") == "csr"
         assert len(recwarn) == 0
 
     def test_env_model_force(self, tmp_cache, small_gate, monkeypatch):
@@ -344,21 +344,19 @@ class TestModelSelection:
         csr = sp.csr_matrix(np.eye(4))
         with pytest.raises(InvalidValue, match="selection mode"):
             substrate.resolve(csr, selection="typo")
+        # the structure-heuristic mode is gone, not silently aliased
+        with pytest.raises(InvalidValue, match="selection mode"):
+            substrate.resolve(csr, selection="heuristic")
 
-    def test_explicit_heuristic_selection_beats_env_force(
-            self, tmp_cache, small_gate, monkeypatch):
-        """selection= is a pin for *both* modes: asking for the
-        heuristic explicitly bypasses REPRO_SUBSTRATE, just as
-        selection='model' does."""
+    def test_model_selection_beats_env_force(self, tmp_cache, small_gate,
+                                             monkeypatch):
+        """selection='model' is a pin: it bypasses REPRO_SUBSTRATE, just
+        as an explicit provider request does."""
         cache.save_profile(synthetic_profile())
         csr = stencil_csr(12)
         monkeypatch.setenv(substrate.ENV_VAR, "sellcs")
         assert substrate.resolve(csr) == "sellcs"
-        assert (substrate.resolve(csr, selection="heuristic")
-                == substrate.choose(csr))
-        monkeypatch.setenv(substrate.ENV_VAR, "model")
-        assert (substrate.resolve(csr, selection="heuristic")
-                == substrate.choose(csr))
+        assert substrate.resolve(csr, selection="model") == "blocked"
 
     def test_model_is_a_reserved_registry_name(self):
         from repro.graphblas.substrate import CsrProvider
@@ -371,7 +369,7 @@ class TestModelSelection:
 
     def test_profile_rates_steer_the_choice(self, small_gate):
         """The decision is genuinely rate-driven: invert the measured
-        rates and the model must abandon the heuristic's pick."""
+        rates and the model must abandon blocked."""
         csr = stencil_csr(12)
         csr_wins = synthetic_profile(spmv_rates={
             "csr": {"uniform": 9e9, "highcv": 9e9, "dense": 9e9},
@@ -379,7 +377,8 @@ class TestModelSelection:
             "blocked": {"uniform": 1e9, "highcv": 1e9, "dense": 1e9},
         })
         assert substrate.choose_model(csr, profile=csr_wins) == "csr"
-        assert substrate.choose(csr) == "blocked"
+        assert (substrate.choose_model(csr, profile=synthetic_profile())
+                == "blocked")
 
     def test_guards_override_rates(self):
         """One megarow keeps blocked/sellcs out no matter how fast the
