@@ -1,7 +1,9 @@
 """Ablation: the fused RBGS colour step (nonblocking ALP, paper ref. [32]).
 
-Wall-clock comparison of the blocking mxv+eWiseLambda pair against the
-fused extension, plus the exact memory-traffic delta from the event log.
+Wall-clock comparison of ``RBGSSmoother``'s two pinned paths — the
+blocking mxv+eWiseLambda transcription (``fused=False``) against the
+fused ``ColorSweepPlan`` sweep (``fused=True``) — plus the exact
+memory-traffic delta from the event log.
 """
 
 import numpy as np
@@ -9,7 +11,6 @@ import pytest
 
 from repro import graphblas as grb
 from repro.experiments.ablations import fusion_ablation
-from repro.graphblas.fused import FusedRBGSSmoother
 from repro.hpcg.coloring import color_masks, lattice_coloring
 from repro.hpcg.smoothers import RBGSSmoother
 
@@ -22,14 +23,14 @@ def setup(problem16, rhs16):
 
 def bench_rbgs_unfused(benchmark, setup):
     problem, masks, r = setup
-    smoother = RBGSSmoother(problem.A, problem.A_diag, masks)
+    smoother = RBGSSmoother(problem.A, problem.A_diag, masks, fused=False)
     z = grb.Vector.dense(problem.n, 0.0)
     benchmark(smoother.smooth, z, r)
 
 
 def bench_rbgs_fused(benchmark, setup):
     problem, masks, r = setup
-    smoother = FusedRBGSSmoother(problem.A, problem.A_diag, masks)
+    smoother = RBGSSmoother(problem.A, problem.A_diag, masks, fused=True)
     z = grb.Vector.dense(problem.n, 0.0)
     benchmark(smoother.smooth, z, r)
 

@@ -7,8 +7,11 @@ Four studies, each mapped to a paper section:
   (solution ii, analytic n/√p·(√p−1)), the geometric 3D partition
   (what Ref knows), and a black-box BFS partition (solution iv,
   measured from structure alone).
-* **fusion** (§VI / ref. [32]): memory traffic of the RBGS colour step
-  with and without the fused masked-mxv+lambda extension.
+* **fusion** (§VI / ref. [32]): memory traffic of RBGS sweeps through
+  the one production smoother, :class:`RBGSSmoother` — its literal
+  masked-mxv + eWiseLambda transcription (``fused=False``) against its
+  fused ``ColorSweepPlan`` path (``fused=True``, priced as
+  ``fused_mxv_lambda`` events).
 * **smoothers** (§III-A): CG iterations to tolerance with RBGS vs
   damped Jacobi vs the exact sequential SYMGS — showing RBGS costs a
   few extra iterations vs SYMGS but parallelises, and beats Jacobi.
@@ -33,7 +36,6 @@ from repro.dist.partition import (
     halo_for_owners,
 )
 from repro.experiments.common import format_table
-from repro.graphblas.fused import FusedRBGSSmoother
 from repro.hpcg.coloring import color_masks, greedy_coloring, lattice_coloring, num_colors
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.cg import pcg
@@ -162,11 +164,10 @@ def fusion_ablation(nx: int = 16, sweeps: int = 2) -> FusionResult:
     rng = np.random.default_rng(3)
     r = grb.Vector.from_dense(rng.standard_normal(problem.n))
 
-    # the unfused arm pins the reference transcription — the default
-    # smoother has taken the fused fast path itself since PR 5, which
-    # would make this comparison vacuous
+    # both arms pinned: the default follows REPRO_FUSED, which would
+    # make the comparison vacuous under either setting
     base = RBGSSmoother(problem.A, problem.A_diag, colors, fused=False)
-    fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
+    fused = RBGSSmoother(problem.A, problem.A_diag, colors, fused=True)
 
     z1 = grb.Vector.dense(problem.n, 0.0)
     log1 = grb.backend.EventLog()
@@ -292,7 +293,7 @@ def render(results: AblationResults) -> str:
             ["variant", "bytes"],
             [
                 ("mxv + eWiseLambda (blocking)", results.fusion.unfused_bytes),
-                ("fused extension", results.fusion.fused_bytes),
+                ("fused ColorSweepPlan sweep", results.fusion.fused_bytes),
             ],
         ),
         f"traffic saved by fusion: {results.fusion.savings:.1%} "

@@ -67,7 +67,6 @@ from repro.graphblas.semiring import (
 )
 from repro.graphblas import algorithms
 from repro.graphblas import substrate
-from repro.graphblas.pipeline import Pipeline, PipelineStats
 from repro.graphblas.vector import Vector
 from repro.graphblas import backend
 from repro.graphblas import io
@@ -122,8 +121,6 @@ __all__ = [
     "lor_land",
     "algorithms",
     "substrate",
-    "Pipeline",
-    "PipelineStats",
     # operations
     "mxv",
     "vxm",

@@ -7,25 +7,26 @@ through memory for a value that is consumed once.  Mastoras et al.'s
 nonblocking ALP fuses such producer-consumer pairs; the paper's Related
 Work singles this out as the main shared-memory headroom.
 
-:func:`fused_masked_mxv_lambda` is that fusion for the exact pattern
-RBGS needs.  It is an *extension*: HPCG code using it is no longer
-portable GraphBLAS — which is why it lives here, below the operations
-API, and why the smoothers reach it only through the plan objects:
+Two such fusions live here.  They are *extensions*: HPCG code using
+them is no longer portable GraphBLAS — which is why they live below the
+operations API, and why the smoother reaches the colour-step fusion
+only through its plan object:
 
-* :class:`ColorSweepPlan` — the default smoother's fast path since the
-  fused-sweep PR: a whole forward-or-backward multi-colour sweep
-  executed by the active provider's prebuilt
+* :class:`ColorSweepPlan` — the RBGS smoother's fast path and the
+  subject of the §VI fusion-traffic ablation
+  (:func:`repro.experiments.ablations.fusion_ablation`): a whole
+  forward-or-backward multi-colour sweep executed by the active
+  provider's prebuilt
   :class:`~repro.graphblas.substrate.base.ColorSweep` (colour
   substructures, row partitions and diagonals hoisted to construction,
   products through the jit lane when numba is available), version-
-  validated against the operator, masks and diagonal, and priced
-  through the provider's fused-traffic hook so collected byte streams
-  stay honest.  ``REPRO_FUSED=0`` (or any unsupported configuration —
-  sparse vectors, non-float64 domains) makes the plan decline, and the
-  smoother falls back to the reference masked-mxv + eWiseLambda
-  transcription, bit for bit.
-* :class:`JacobiSweepPlan` — the same fusion for the damped-Jacobi
-  update (a full product, no mask).
+  validated against the operator, masks and diagonal, and priced as
+  ``fused_mxv_lambda`` events through the provider's fused-traffic
+  hook so collected byte streams stay honest.  ``REPRO_FUSED=0`` (or
+  any unsupported configuration — sparse vectors, non-float64 domains)
+  makes the plan decline, and the smoother falls back to the literal
+  Listing 2/3 masked-mxv + eWiseLambda transcription — the
+  bit-exactness oracle — bit for bit.
 * :func:`fused_spmv_waxpby` — CG's hot pair ``w = alpha*x + beta*(A z)``
   (the residual updates in ``pcg`` init and the V-cycle) in one pass,
   eliding the intermediate product vector's 16-byte-per-row round trip;
@@ -36,16 +37,13 @@ API, and why the smoothers reach it only through the plan objects:
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.graphblas import backend
-from repro.graphblas import descriptor as desc_mod
 from repro.graphblas.matrix import Matrix
-from repro.graphblas.operations import _mask_bool
 from repro.graphblas.substrate.base import ColorSweep
-from repro.graphblas.substrate.csr import CsrProvider
 from repro.graphblas.vector import Vector
 from repro.util.errors import InvalidValue
 
@@ -62,51 +60,6 @@ def fused_enabled(default: bool = True) -> bool:
     if raw in ("1", "on", "yes", "true"):
         return True
     return default
-
-
-def fused_masked_mxv_lambda(
-    fn: Callable[..., None],
-    mask: Vector,
-    A: Matrix,
-    x: Vector,
-    *vectors: Vector,
-    desc=desc_mod.structural,
-) -> None:
-    """``t = (A x)[mask]; fn(rows, t, *vector_storages)`` without
-    materialising ``t`` as a container.
-
-    ``fn`` receives the masked row indices, the *local* product values
-    (one per masked row, in row order), and the dense storage of each
-    trailing vector; it must only write positions ``rows`` of those.
-    Compared to the mxv + eWiseLambda pair this elides one vector write
-    and one vector read per element (16 bytes/row), which is exactly
-    the traffic the fusion ablation measures.
-    """
-    if mask is None:
-        raise InvalidValue("fused step requires a mask (the colour vector)")
-    sel = _mask_bool(mask, A.nrows, desc)
-    rows = np.flatnonzero(sel)
-    cacheable = desc.structural and not desc.invert_mask
-    if cacheable:
-        sub = A._rows_substructure(
-            (id(mask), mask.version), rows, desc.transpose_matrix
-        )
-    else:
-        base = A._transposed_csr() if desc.transpose_matrix else A._csr
-        sub = CsrProvider(base[rows, :])
-    t = sub.mxv(x._values)
-    fn(rows, t, *(v._values for v in vectors))
-    for v in vectors:
-        v._bump()
-    if backend.active():
-        # the unfused pair costs the provider's full mxv traffic (tmp
-        # write + read included) plus the lambda's rows*8*(k+1); the
-        # provider prices what fusion elides in its format.
-        flops, nbytes = sub.fused_mxv_traffic(len(vectors))
-        backend.record(
-            "fused_mxv_lambda", rows.size, sub.nnz, flops, nbytes,
-            fmt=sub.name,
-        )
 
 
 def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
@@ -242,92 +195,3 @@ class ColorSweepPlan:
             sweep.run(zv, rv, order)
         z._bump()
         return True
-
-
-class JacobiSweepPlan:
-    """The fused damped-Jacobi update: ``z += omega * (r - A z) / d``.
-
-    One full provider product straight into the pointwise update — no
-    workspace container round trip — priced through the provider's
-    fused-traffic hook.  Same decline-and-fall-back contract as
-    :class:`ColorSweepPlan`.
-    """
-
-    def __init__(self, A: Matrix, diag: Vector, omega: float,
-                 level: Optional[int] = None):
-        self.A = A
-        self.diag = diag
-        self.omega = omega
-        self.level = level    # same fallback-tag contract as ColorSweepPlan
-
-    def run(self, z: Vector, r: Vector, sweeps: int) -> bool:
-        if not fused_enabled():      # the kill switch works per call
-            return False
-        if (self.A.dtype != np.float64
-                or z.dtype != np.float64 or r.dtype != np.float64
-                or not z.is_dense() or not r.is_dense()
-                or self.diag.dtype != np.float64
-                or not self.diag.is_dense()):
-            return False
-        prov = self.A.provider()
-        zv, rv, dv = z._values, r._values, self.diag._values
-        omega = self.omega
-        for _ in range(sweeps):
-            s = prov.mxv(zv)
-            zv += omega * (rv - s) / dv
-            if backend.active():
-                flops, nbytes = prov.fused_mxv_traffic(3)
-                backend.record(
-                    "fused_mxv_lambda", self.A.nrows, prov.nnz,
-                    flops, nbytes, fmt=prov.name,
-                    label=(None if self.level is None
-                           else f"jacobi@L{self.level}"),
-                )
-        z._bump()
-        return True
-
-
-class FusedRBGSSmoother:
-    """RBGS built on the fused colour step (the [32] ablation subject).
-
-    Produces bit-identical iterates to
-    :class:`repro.hpcg.smoothers.RBGSSmoother`; only the memory traffic
-    (and, on a real machine, the runtime) differs.
-    """
-
-    def __init__(self, A: Matrix, A_diag: Vector, colors):
-        self.A = A
-        self.A_diag = A_diag
-        self.colors = list(colors)
-        if not self.colors:
-            raise InvalidValue("at least one colour mask is required")
-
-    @property
-    def n(self) -> int:
-        return self.A.nrows
-
-    @staticmethod
-    def _pointwise(rows: np.ndarray, s: np.ndarray, z: np.ndarray,
-                   r: np.ndarray, d: np.ndarray) -> None:
-        dd = d[rows]
-        z[rows] = (r[rows] - s + z[rows] * dd) / dd
-
-    def _sweep(self, z: Vector, r: Vector, order) -> None:
-        for k in order:
-            fused_masked_mxv_lambda(
-                self._pointwise, self.colors[k], self.A, z, z, r, self.A_diag
-            )
-
-    def forward(self, z: Vector, r: Vector) -> Vector:
-        self._sweep(z, r, range(len(self.colors)))
-        return z
-
-    def backward(self, z: Vector, r: Vector) -> Vector:
-        self._sweep(z, r, range(len(self.colors) - 1, -1, -1))
-        return z
-
-    def smooth(self, z: Vector, r: Vector, sweeps: int = 1) -> Vector:
-        for _ in range(sweeps):
-            self.forward(z, r)
-            self.backward(z, r)
-        return z

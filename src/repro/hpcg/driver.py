@@ -25,11 +25,13 @@ from typing import Dict, List, Optional
 
 from repro import graphblas as grb
 from repro import obs
+from repro.grid import Grid3D
 from repro.hpcg import flops as flops_mod
 from repro.hpcg.cg import CGResult, CGWorkspace, pcg
 from repro.hpcg.multigrid import MGLevel, MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import Problem, generate_problem
 from repro.hpcg.symmetry import SymmetryReport, validate
+from repro.util.errors import InvalidValue
 from repro.util.timer import TimerRegistry
 
 
@@ -425,10 +427,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also push periodically during the run, every "
                              "SECONDS (needs --push-url)")
     args = parser.parse_args(argv)
+    if args.iters < 0:
+        return _fail(f"--iters must be >= 0, got {args.iters}")
+    if not args.tolerance >= 0:      # NaN fails too
+        return _fail(f"--tolerance must be >= 0, got {args.tolerance}")
     if args.threads is not None:
         from repro.graphblas.substrate import threads as threads_mod
+        previous = os.environ.get(threads_mod.ENV_VAR)
         os.environ[threads_mod.ENV_VAR] = args.threads
-        threads_mod.requested()   # fail fast on an unparsable value
+        try:
+            threads_mod.requested()   # fail fast on an unparsable value
+        except InvalidValue as exc:
+            if previous is None:
+                del os.environ[threads_mod.ENV_VAR]
+            else:
+                os.environ[threads_mod.ENV_VAR] = previous
+            return _fail(f"--threads {args.threads}: {exc}")
     # CLI robustness: every artifact/plan problem is a one-line error
     # and exit code 2 — discovered before any solve work starts
     for flag, path in (("--trace-json", args.trace_json),
@@ -451,10 +465,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"got {args.push_interval}")
     if args.nprocs < 1:
         return _fail(f"--nprocs must be >= 1, got {args.nprocs}")
+    try:
+        grid = Grid3D(args.nx, args.ny or args.nx, args.nz or args.nx)
+    except InvalidValue as exc:
+        return _fail(str(exc))
+    if args.dist is None and args.mg_levels > grid.max_mg_levels():
+        return _fail(f"--mg-levels {args.mg_levels}: grid {grid.dims} "
+                     f"supports at most {grid.max_mg_levels()} MG levels")
     fault_plan = None
     if args.faults is not None:
         from repro.dist import FaultPlan
-        from repro.util.errors import InvalidValue
         try:
             fault_plan = FaultPlan.from_json(args.faults)
             fault_plan.validate_for(args.nprocs)

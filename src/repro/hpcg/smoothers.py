@@ -33,10 +33,10 @@ kernel provider the matrix's substrate selection picked (CSR,
 SELL-C-σ, dense-blocked — see :mod:`repro.graphblas.substrate`), with
 bit-identical iterates.
 
-A damped Jacobi smoother is provided for the smoother-choice ablation;
-it is *not* HPCG-legal (fails the symmetry requirement less strictly
-speaking — it is symmetric, but converges slower) and is benchmarked as
-such.
+A damped Jacobi smoother (a plain ``mxv`` + ``ewise_lambda`` loop, no
+fused path) is provided for the smoother-choice ablation; it is *not*
+HPCG-legal (fails the symmetry requirement less strictly speaking — it
+is symmetric, but converges slower) and is benchmarked as such.
 """
 
 from __future__ import annotations
@@ -59,10 +59,13 @@ class RBGSSmoother:
     order) followed by a backward sweep (decreasing order) — the
     symmetric variant HPCG requires of its smoother.
 
-    ``fused`` selects the fast path: ``None`` (default) follows the
-    ``REPRO_FUSED`` environment switch, ``False`` pins the reference
-    Listing 2/3 transcription (the ablation baseline), ``True`` arms
-    the fused plan.  An armed plan still falls back per call — when it
+    This is the one RBGS implementation.  ``fused`` selects the path:
+    ``None`` (default) follows the ``REPRO_FUSED`` environment switch,
+    ``False`` pins the literal Listing 2/3 transcription (the
+    bit-exactness oracle and the fusion ablation's unfused arm),
+    ``True`` arms the fused
+    :class:`~repro.graphblas.fused.ColorSweepPlan` (the ablation's
+    fused arm).  An armed plan still falls back per call — when it
     cannot serve the request bit-identically (sparse vectors,
     non-float64 domains), and whenever ``REPRO_FUSED=0`` is set at
     call time (the kill switch works on already-built smoothers too).
@@ -175,13 +178,12 @@ class JacobiSmoother:
     """Damped Jacobi: ``z += omega * D^-1 (r - A z)``.
 
     Fully parallel (no colouring needed) but a weaker smoother; kept for
-    the ablation study comparing smoother choices.  Takes the fused
-    product+update fast path under the same ``fused``/``REPRO_FUSED``
-    contract as :class:`RBGSSmoother`.
+    the ablation study comparing smoother choices.  It runs as a plain
+    GraphBLAS ``mxv`` + ``ewise_lambda`` loop — there is no fused path.
     """
 
     def __init__(self, A: grb.Matrix, A_diag: grb.Vector,
-                 omega: float = 2.0 / 3.0, fused: Optional[bool] = None):
+                 omega: float = 2.0 / 3.0):
         if not 0 < omega <= 1.0:
             raise InvalidValue(f"damping factor must be in (0, 1], got {omega}")
         self.A = A
@@ -189,37 +191,21 @@ class JacobiSmoother:
         self.omega = omega
         self.level: Optional[int] = None
         self._tmp = grb.Vector.dense(A.nrows)
-        use_fused = fused_mod.fused_enabled() if fused is None else fused
-        self._plan = (
-            fused_mod.JacobiSweepPlan(A, A_diag, omega)
-            if use_fused else None
-        )
 
     def set_level(self, index: Optional[int]) -> "JacobiSmoother":
-        """Record the owning MG level (propagated into the fused plan)."""
+        """Record the owning MG level (tags the sweep spans)."""
         self.level = index
-        if self._plan is not None:
-            self._plan.level = index
         return self
 
     @property
     def n(self) -> int:
         return self.A.nrows
 
-    @property
-    def fused_active(self) -> bool:
-        return self._plan is not None
-
     def smooth(self, z: grb.Vector, r: grb.Vector, sweeps: int = 1) -> grb.Vector:
         with obs.span("smoother/jacobi_sweep", "smoother") as sp:
             if sp is not None:
                 sp.set(sweeps=sweeps, level=self.level, n=self.n,
-                       fused=self._plan is not None,
-                       lane=threads_mod.lane_name())
-            if self._plan is not None and self._plan.run(z, r, sweeps):
-                return z
-            if sp is not None:
-                sp.set(fused=False)
+                       fused=False, lane=threads_mod.lane_name())
             omega = self.omega
 
             def update(idx, zv, rv, sv, dv):

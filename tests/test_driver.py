@@ -1,6 +1,7 @@
 """The HPCG benchmark driver end-to-end."""
 
 import json
+import os
 
 import pytest
 
@@ -156,6 +157,30 @@ class TestCliRobustness:
         self._expect_error(
             capsys, ["--nx", "4", "--dist", "ref-3d", "--nprocs", "0"],
             "nprocs")
+
+    def test_negative_iters(self, capsys):
+        self._expect_error(capsys, ["--nx", "8", "--iters", "-1"], "--iters")
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_tolerance(self, capsys, value):
+        self._expect_error(
+            capsys, ["--nx", "8", "--tolerance", value], "--tolerance")
+
+    @pytest.mark.parametrize("argv", [["--nx", "0"],
+                                      ["--nx", "8", "--ny", "-2"]])
+    def test_bad_grid(self, capsys, argv):
+        self._expect_error(capsys, argv, "grid dimensions")
+
+    def test_too_many_mg_levels(self, capsys):
+        self._expect_error(
+            capsys, ["--nx", "3", "--mg-levels", "4"], "--mg-levels")
+
+    def test_malformed_threads(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_THREADS", "1")
+        self._expect_error(
+            capsys, ["--nx", "8", "--threads", "banana"], "--threads")
+        # the rejected value does not leak into later runs
+        assert os.environ["REPRO_THREADS"] == "1"
 
 
 class TestDistCli:

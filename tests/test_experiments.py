@@ -129,10 +129,33 @@ class TestAblations:
         assert rows["black-box BFS (solution iv)"] < rows["1D block-cyclic (ALP)"]
         assert rows["2D block (solution ii)"] < rows["1D block-cyclic (ALP)"]
 
-    def test_fusion_saves_traffic_identically(self):
+    def test_fusion_saves_traffic_identically(self, monkeypatch):
+        from repro import graphblas as grb
+        from repro.graphblas import fused as fused_mod
+        from repro.hpcg.coloring import color_masks, lattice_coloring
+        from repro.hpcg.smoothers import RBGSSmoother
+
+        # an armed plan honours the kill switch per call
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         res = ablations.fusion_ablation(nx=8, sweeps=1)
         assert res.identical_result
         assert 0.1 < res.savings < 0.5
+        # the ablation measures the production smoother, not a stand-in:
+        # each arm's bytes are exactly what RBGSSmoother records
+        problem = generate_problem(8)
+        colors = color_masks(lattice_coloring(problem.grid))
+        r = grb.Vector.from_dense(
+            np.random.default_rng(3).standard_normal(problem.n))
+        totals = {}
+        for fused in (True, False):
+            smoother = RBGSSmoother(problem.A, problem.A_diag, colors,
+                                    fused=fused)
+            log = grb.backend.EventLog()
+            with grb.backend.collect(log):
+                smoother.smooth(grb.Vector.dense(problem.n, 0.0), r)
+            totals[fused] = log.total("bytes")
+        assert res.fused_bytes == totals[True]
+        assert res.unfused_bytes == totals[False]
 
     def test_smoother_ordering(self):
         rows = {r.smoother: r for r in ablations.smoother_ablation(nx=8)}

@@ -23,7 +23,7 @@ from repro.graphblas.substrate import jit
 from repro.hpcg.cg import CGWorkspace, pcg
 from repro.hpcg.coloring import color_masks, greedy_coloring, lattice_coloring
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
-from repro.hpcg.smoothers import JacobiSmoother, RBGSSmoother
+from repro.hpcg.smoothers import RBGSSmoother
 
 PROVIDERS = list(substrate.available())
 
@@ -158,8 +158,6 @@ class TestKillSwitch:
         masks = color_masks(lattice_coloring(problem8.grid))
         s = RBGSSmoother(problem8.A, problem8.A_diag, masks)
         assert not s.fused_active
-        j = JacobiSmoother(problem8.A, problem8.A_diag)
-        assert not j.fused_active
 
     def test_env_off_matches_fused_results(self, problem8, rng, monkeypatch):
         masks = color_masks(lattice_coloring(problem8.grid))
@@ -181,6 +179,7 @@ class TestKillSwitch:
                                                     monkeypatch):
         """REPRO_FUSED=0 is read per call: smoothers armed *before* the
         switch flips must fall back too (and stay bit-identical)."""
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         masks = color_masks(lattice_coloring(problem8.grid))
         s = RBGSSmoother(problem8.A, problem8.A_diag, masks)
         assert s.fused_active
@@ -213,9 +212,10 @@ class TestKillSwitch:
 # ---------------------------------------------------------------------------
 
 class TestPlanInvalidation:
-    def test_set_substrate_rebuilds_sweep(self, problem8, rng):
+    def test_set_substrate_rebuilds_sweep(self, problem8, rng, monkeypatch):
         """set_substrate swaps providers without bumping the version;
         the plan must still notice and re-price in the new format."""
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         masks = color_masks(lattice_coloring(problem8.grid))
         A = grb.Matrix.from_scipy(problem8.A.to_scipy(), substrate="csr")
         s = RBGSSmoother(A, problem8.A_diag, masks, fused=True)
@@ -252,29 +252,14 @@ class TestPlanInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi's fused update
-# ---------------------------------------------------------------------------
-
-class TestFusedJacobi:
-    @pytest.mark.parametrize("name", PROVIDERS)
-    def test_bit_identical(self, problem8, rng, name):
-        A = grb.Matrix.from_scipy(problem8.A.to_scipy(), substrate=name)
-        fused = JacobiSmoother(A, problem8.A_diag, fused=True)
-        ref = JacobiSmoother(A, problem8.A_diag, fused=False)
-        r = grb.Vector.from_dense(rng.standard_normal(problem8.n))
-        z1 = grb.Vector.dense(problem8.n, 0.0)
-        z2 = grb.Vector.dense(problem8.n, 0.0)
-        fused.smooth(z1, r, sweeps=3)
-        ref.smooth(z2, r, sweeps=3)
-        assert_bit_identical(z1.to_dense(), z2.to_dense())
-
-
-# ---------------------------------------------------------------------------
 # honest pricing: the fused stream through the fused-traffic hooks
 # ---------------------------------------------------------------------------
 
 class TestFusedPricing:
-    def test_fused_events_tagged_and_cheaper(self, problem8, rng):
+    def test_fused_events_tagged_and_cheaper(self, problem8, rng,
+                                             monkeypatch):
+        # an armed plan honours the kill switch per call
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         masks = color_masks(lattice_coloring(problem8.grid))
         r = grb.Vector.from_dense(rng.standard_normal(problem8.n))
         totals = {}
@@ -292,16 +277,6 @@ class TestFusedPricing:
                            for e in log.events)
         # fusion elides the workspace round trip: strictly fewer bytes
         assert totals[True] < totals[False]
-
-    def test_jacobi_fused_pricing(self, problem8, rng):
-        r = grb.Vector.from_dense(rng.standard_normal(problem8.n))
-        s = JacobiSmoother(problem8.A, problem8.A_diag, fused=True)
-        z = grb.Vector.dense(problem8.n, 0.0)
-        log = grb.backend.EventLog()
-        with grb.backend.collect(log):
-            s.smooth(z, r, sweeps=2)
-        assert log.count("fused_mxv_lambda") == 2
-        assert log.total("bytes") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Smoothers: RBGS (GraphBLAS), fused RBGS, Jacobi, and Ref equivalence."""
+"""Smoothers: RBGS (GraphBLAS, both paths), Jacobi, and Ref equivalence."""
 
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
-from repro.graphblas.fused import FusedRBGSSmoother
+from repro.graphblas import fused as fused_mod
 from repro.hpcg.coloring import color_masks, lattice_coloring
 from repro.hpcg.smoothers import JacobiSmoother, RBGSSmoother
 from repro.ref.sgs import RefRBGS
@@ -93,23 +93,26 @@ class TestRBGS:
 
 
 class TestFusedRBGS:
-    def test_bit_identical_to_unfused(self, setup8):
+    """``RBGSSmoother``'s two pinned paths: the fused ``ColorSweepPlan``
+    sweep against the Listing 2/3 transcription it must reproduce."""
+
+    def test_bit_identical_to_unfused(self, setup8, monkeypatch):
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         problem, colors, r = setup8
-        base = RBGSSmoother(problem.A, problem.A_diag, colors)
-        fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
+        base = RBGSSmoother(problem.A, problem.A_diag, colors, fused=False)
+        fused = RBGSSmoother(problem.A, problem.A_diag, colors, fused=True)
         z1 = grb.Vector.dense(problem.n, 0.0)
         z2 = grb.Vector.dense(problem.n, 0.0)
         base.smooth(z1, r, sweeps=2)
         fused.smooth(z2, r, sweeps=2)
         np.testing.assert_array_equal(z1.to_dense(), z2.to_dense())
 
-    def test_fused_moves_fewer_bytes(self, setup8):
-        # pin the reference transcription: since the fused-sweep PR the
-        # default RBGSSmoother takes the fused path (and records the
-        # same fused traffic this test wants to see beaten)
+    def test_fused_moves_fewer_bytes(self, setup8, monkeypatch):
+        # an armed plan honours the kill switch per call
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
         problem, colors, r = setup8
         base = RBGSSmoother(problem.A, problem.A_diag, colors, fused=False)
-        fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
+        fused = RBGSSmoother(problem.A, problem.A_diag, colors, fused=True)
         logs = []
         for smoother in (base, fused):
             z = grb.Vector.dense(problem.n, 0.0)
@@ -120,8 +123,9 @@ class TestFusedRBGS:
         assert logs[1] < logs[0]
 
     def test_rejects_empty_colors(self, problem8):
-        with pytest.raises(InvalidValue):
-            FusedRBGSSmoother(problem8.A, problem8.A_diag, [])
+        for fused in (True, False):
+            with pytest.raises(InvalidValue):
+                RBGSSmoother(problem8.A, problem8.A_diag, [], fused=fused)
 
 
 class TestJacobi:

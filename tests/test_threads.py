@@ -492,9 +492,14 @@ class TestThreadProvenance:
         assert os.environ[threads.ENV_VAR] == "2"
         monkeypatch.delenv(threads.ENV_VAR, raising=False)
 
-    def test_driver_rejects_malformed_threads_flag(self, monkeypatch):
+    def test_driver_rejects_malformed_threads_flag(self, monkeypatch,
+                                                   capsys):
         from repro.hpcg import driver
 
-        with pytest.raises(InvalidValue):
-            driver.main(["--nx", "8", "--iters", "1", "--threads", "zap"])
         monkeypatch.delenv(threads.ENV_VAR, raising=False)
+        assert driver.main(["--nx", "8", "--iters", "1",
+                            "--threads", "zap"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threads zap")
+        assert "Traceback" not in err
+        assert threads.ENV_VAR not in os.environ
