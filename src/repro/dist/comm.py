@@ -12,6 +12,10 @@ follows BSP conventions:
   ``max over nodes of max(sent, received)`` — the quantity the BSP cost
   model charges for.
 
+The collectives are closed-form O(p) numpy updates and
+:meth:`CommTracker.send_many` records a batch of messages in one call;
+both elide and validate as one :meth:`CommTracker.send` per message.
+
 Labels attach semantics to the trace: sends and syncs can be tagged
 (``"spmv"``, ``"rbgs_mxv"``, ``"halo"``, ...) so experiments can ask
 "how many supersteps did the smoother cost" without re-running.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +79,13 @@ def resolve_comm_mode(mode: Optional[str] = None) -> str:
         f"unrecognised {OVERLAP_ENV}={raw!r}: use 1/0, on/off, "
         f"overlap/eager"
     )
+
+
+def pair_batch(pairs: Dict[Tuple[int, int], int]) -> Tuple[np.ndarray, ...]:
+    """``{(src, dst): nbytes}`` as ``send_many``'s int64 arrays."""
+    ends = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return (ends[:, 0], ends[:, 1],
+            np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs)))
 
 
 @dataclass
@@ -198,12 +209,41 @@ class CommTracker:
         if label is not None:
             self.label_bytes[label] = self.label_bytes.get(label, 0) + nbytes
 
+    def send_many(self, src, dst, nbytes,
+                  label: Optional[str] = None) -> None:
+        """Record ``nbytes[i]`` from ``src[i]`` to ``dst[i]`` (scalars
+        broadcast), eliding and checking as :meth:`send` does; every
+        check runs before any counter moves."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        if src.ndim != 1 or not src.shape == dst.shape == nbytes.shape:
+            src, dst, nbytes = np.broadcast_arrays(
+                *np.atleast_1d(src, dst, nbytes))
+        # one unsigned max: negative ranks wrap to huge values
+        ranks = np.concatenate((src, dst)).view(np.uint64)
+        if ranks.max(initial=0) >= self.nprocs:
+            raise InvalidValue(f"rank out of range in a batch of {src.size} "
+                               f"messages with {self.nprocs} procs")
+        keep = (src != dst) & (nbytes > 0)
+        if not keep.all():
+            if nbytes.min() < 0:
+                raise InvalidValue(f"negative message size: {nbytes.min()}")
+            src, dst, nbytes = src[keep], dst[keep], nbytes[keep]
+        if not nbytes.size:
+            return
+        np.add.at(self._sent, src, nbytes)
+        np.add.at(self._received, dst, nbytes)
+        self._messages += int(nbytes.size)
+        if label is not None:
+            self.label_bytes[label] = (self.label_bytes.get(label, 0)
+                                       + int(nbytes.sum()))
+
     # --- collectives --------------------------------------------------------
     def broadcast(self, root: int, nbytes: int,
                   label: Optional[str] = None) -> None:
         """``root`` sends ``nbytes`` to every other node."""
-        for dst in range(self.nprocs):
-            self.send(root, dst, nbytes, label=label)
+        self.send_many(root, np.arange(self.nprocs), nbytes, label=label)
 
     def allgather(self, sizes, label: Optional[str] = None) -> None:
         """Every node sends its share to every other node.
@@ -212,23 +252,30 @@ class CommTracker:
         the superstep every node holds all shares (the ALP backend's
         vector replication before each ``mxv``).
         """
-        sizes = np.asarray(sizes)
+        sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.shape[0] != self.nprocs:
             raise InvalidValue(
                 f"allgather needs one share per node: got {sizes.shape[0]}, "
                 f"expected {self.nprocs}"
             )
-        for src in range(self.nprocs):
-            nbytes = int(sizes[src])
-            for dst in range(self.nprocs):
-                self.send(src, dst, nbytes, label=label)
+        if sizes.min(initial=0) < 0:
+            raise InvalidValue(f"negative message size: {sizes.min()}")
+        fanout = self.nprocs - 1
+        messages = int(np.count_nonzero(sizes)) * fanout
+        if not messages:
+            return
+        total = int(sizes.sum())
+        self._sent += sizes * fanout
+        self._received += total - sizes
+        self._messages += messages
+        if label is not None:
+            self.label_bytes[label] = (self.label_bytes.get(label, 0)
+                                       + total * fanout)
 
     def allreduce_scalar(self, nbytes: int = 8,
                          label: Optional[str] = None) -> None:
         """All-to-all exchange of one scalar (CG's dot products)."""
-        for src in range(self.nprocs):
-            for dst in range(self.nprocs):
-                self.send(src, dst, nbytes, label=label)
+        self.allgather(np.full(self.nprocs, nbytes), label=label)
 
     # --- split-phase supersteps ---------------------------------------------
     def post(self, label: Optional[str] = None) -> InFlightExchange:

@@ -44,9 +44,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.dist.comm import CommTracker, InFlightExchange, resolve_comm_mode
+from repro.dist.comm import (CommTracker, InFlightExchange, pair_batch,
+                              resolve_comm_mode)
 from repro.dist.cost import mxv_bytes, rows_touching_remote
-from repro.dist.partition import halo_for_owners
+from repro.dist.partition import color_halos, halo_for_owners
 from repro.graphblas import substrate as substrate_mod
 from repro.graphblas.substrate.base import KernelProvider
 from repro.util.errors import DimensionMismatch, InvalidValue
@@ -149,6 +150,8 @@ class LocalSpmvExecutor:
         self.halo: Dict[Tuple[int, int], np.ndarray] = halo_for_owners(
             A.indptr, A.indices, owners, nprocs
         )
+        self._halo_batch = pair_batch(
+            {pair: int(idxs.size) * 8 for pair, idxs in self.halo.items()})
         self.nodes: List[LocalNode] = []
         self._remote_rows: List[np.ndarray] = []   # per node: halo mask
         for k in range(nprocs):
@@ -195,8 +198,7 @@ class LocalSpmvExecutor:
                    default=0.0)
 
     def _record_sends(self, label: str) -> None:
-        for (src, dst), idxs in self.halo.items():
-            self.tracker.send(src, dst, int(idxs.size) * 8, label=label)
+        self.tracker.send_many(*self._halo_batch, label=label)
 
     def _exchange(self, label: str = "halo") -> None:
         """Record one full halo exchange as a single eager superstep."""
@@ -315,23 +317,15 @@ class LocalRBGSExecutor:
                  for k in range(nprocs)), default=0.0)
             for c in range(self.ncolors)
         ] if self.overlap else []
-        # per-colour halo: the colour classes partition the halo points
-        self._color_halo: List[Dict[Tuple[int, int], int]] = []
-        for c in range(self.ncolors):
-            per: Dict[Tuple[int, int], int] = {}
-            for pair, idxs in self.base.halo.items():
-                npoints = int((colors[idxs] == c).sum())
-                if npoints:
-                    per[pair] = npoints * 8
-            self._color_halo.append(per)
+        self._color_halo = color_halos(self.base.halo, colors, self.ncolors)
+        self._color_batch = [pair_batch(per) for per in self._color_halo]
 
     @property
     def color_halo_bytes(self) -> List[Dict[Tuple[int, int], int]]:
         return self._color_halo
 
     def _record_color_sends(self, c: int) -> None:
-        for (src, dst), nbytes in self._color_halo[c].items():
-            self.tracker.send(src, dst, nbytes, label="rbgs_halo")
+        self.tracker.send_many(*self._color_batch[c], label="rbgs_halo")
 
     def _exchange_color(self, c: int) -> None:
         """One superstep moving only the freshly-updated colour's halo."""

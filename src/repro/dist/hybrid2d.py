@@ -61,6 +61,11 @@ class Hybrid2DRun(SimulatedDistRun):
                 f"got {nprocs}"
             )
         self.q = q
+        # off-diagonal ranks (i, j): the non-roots of every broadcast
+        row, col = np.divmod(np.arange(nprocs), q)
+        off = row != col
+        self._off_rank = np.flatnonzero(off)
+        self._off_row, self._off_col = row[off], col[off]
         super().__init__(problem, nprocs, mg_levels, machine,
                          comm_mode=comm_mode,
                          overlap_efficiency=overlap_efficiency,
@@ -75,16 +80,11 @@ class Hybrid2DRun(SimulatedDistRun):
         return type(self)(self.problem, largest_square(nprocs),
                           **self._respawn_kwargs())
 
-    def _rank(self, i: int, j: int) -> int:
-        return i * self.q + j
-
     def _init_level_comm(self, level: SimLevel) -> None:
         q = self.q
         part = Block1D(level.n, q)
         level.partition = part
-        level.block_bytes = np.array(
-            [part.local_size(k) * 8 for k in range(q)], dtype=np.int64
-        )
+        level.block_bytes = part.sizes * 8
         # worst-block mxv work: blocks are ~uniform, price the average
         nnz_per_block = level.A.nnz / max(self.nprocs, 1)
         rows_per_block = level.n / q
@@ -101,22 +101,16 @@ class Hybrid2DRun(SimulatedDistRun):
     def _two_phase_mxv(self, in_bytes: np.ndarray, out_bytes: np.ndarray,
                        sync_label: str, timer_key: str,
                        work_bytes: float) -> None:
-        q = self.q
+        diag = self.q + 1          # rank (k, k) is k * (q + 1)
         # phase 1: column broadcast of the input blocks — nothing to
         # overlap: the receivers own no part of the block they await
-        for j in range(q):
-            for i in range(q):
-                if i != j:
-                    self.tracker.send(self._rank(j, j), self._rank(i, j),
-                                      int(in_bytes[j]), label=sync_label)
+        self.tracker.send_many(self._off_col * diag, self._off_rank,
+                               in_bytes[self._off_col], label=sync_label)
         self._close_superstep(sync_label, timer_key, 0.0)
         # phase 2: row reduction of the partial outputs — posted only
         # after the partials exist, so it too stays exposed
-        for i in range(q):
-            for j in range(q):
-                if j != i:
-                    self.tracker.send(self._rank(i, j), self._rank(i, i),
-                                      int(out_bytes[i]), label=sync_label)
+        self.tracker.send_many(self._off_rank, self._off_row * diag,
+                               out_bytes[self._off_row], label=sync_label)
         self._close_superstep(sync_label, timer_key, work_bytes)
 
     # --- communication hooks -------------------------------------------------

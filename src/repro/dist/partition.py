@@ -24,7 +24,7 @@ feeds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,11 +46,11 @@ class Block1D:
         base, extra = divmod(n, p)
         sizes = np.full(p, base, dtype=np.int64)
         sizes[:extra] += 1
-        self._sizes = sizes
+        self.sizes = sizes
         self._starts = np.concatenate(([0], np.cumsum(sizes)))
 
     def local_size(self, k: int) -> int:
-        return int(self._sizes[k])
+        return int(self.sizes[k])
 
     def local_indices(self, k: int) -> np.ndarray:
         return np.arange(self._starts[k], self._starts[k + 1], dtype=np.int64)
@@ -232,6 +232,18 @@ def halo_for_owners(
         if span is not None:
             span.set(remote_entries=int(uniq.size), pairs=len(out))
         return out
+
+
+def color_halos(halos: Dict[Tuple[int, int], np.ndarray], colors: np.ndarray,
+                ncolors: int) -> List[Dict[Tuple[int, int], int]]:
+    """Per-colour ``{(src, dst): bytes}`` slices of ``halos`` (8 bytes a
+    point): the colour classes partition every halo point."""
+    per: List[Dict[Tuple[int, int], int]] = [{} for _ in range(ncolors)]
+    for pair, idxs in halos.items():
+        counts = np.bincount(colors[idxs], minlength=ncolors)
+        for c in np.flatnonzero(counts):
+            per[c][pair] = int(counts[c]) * 8
+    return per
 
 
 def bfs_partition(indptr: np.ndarray, indices: np.ndarray,

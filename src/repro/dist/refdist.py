@@ -27,11 +27,12 @@ BSP overlap model.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.dist.bsp import BSPMachine
+from repro.dist.comm import pair_batch
 from repro.dist.cost import (
     interior_row_mask,
     per_node_interior_color_work,
@@ -40,6 +41,7 @@ from repro.dist.cost import (
 from repro.dist.partition import (
     Grid3DPartition,
     bfs_partition,
+    color_halos,
     factor3,
     halo_for_owners,
 )
@@ -121,15 +123,10 @@ class RefDistRun(SimulatedDistRun):
         halos = halo_for_owners(level.A.indptr, level.A.indices, owners, p)
         level.spmv_halo = {pair: int(idxs.size) * 8
                            for pair, idxs in halos.items()}
-        # the colour classes partition every halo point
-        level.color_halo = []
-        for c in range(level.ncolors):
-            per = {}
-            for pair, idxs in halos.items():
-                npoints = int((level.colors[idxs] == c).sum())
-                if npoints:
-                    per[pair] = npoints * 8
-            level.color_halo.append(per)
+        level.color_halo = color_halos(halos, level.colors, level.ncolors)
+        # the same exchanges as send_many batches, built once
+        level.spmv_batch = pair_batch(level.spmv_halo)
+        level.color_batch = [pair_batch(per) for per in level.color_halo]
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
         work_bytes = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
         level.spmv_work = (work_bytes, rows)
@@ -148,17 +145,16 @@ class RefDistRun(SimulatedDistRun):
         level.restrict_halo = None
 
     # --- communication hooks -------------------------------------------------
-    def _halo_exchange(self, halo, sync_label: str, timer_key: str,
+    def _halo_exchange(self, batch, sync_label: str, timer_key: str,
                        work_bytes: float, overlap_bytes: float = 0.0) -> None:
-        for (src, dst), nbytes in halo.items():
-            self.tracker.send(src, dst, nbytes, label=sync_label)
+        self.tracker.send_many(*batch, label=sync_label)
         self._close_superstep(sync_label, timer_key, work_bytes,
                               overlap_bytes)
 
     def _spmv_comm(self, level: SimLevel, sync_label: str,
                    timer_key: str) -> None:
         # split-phase: the posted halo hides behind the interior rows
-        self._halo_exchange(level.spmv_halo, sync_label, timer_key,
+        self._halo_exchange(level.spmv_batch, sync_label, timer_key,
                             float(level.spmv_work[0].max()),
                             overlap_bytes=level.interior_spmv_work)
 
@@ -169,15 +165,15 @@ class RefDistRun(SimulatedDistRun):
         # behind and stays exposed
         overlap = (float(level.interior_color_work[next_color])
                    if next_color is not None else 0.0)
-        self._halo_exchange(level.color_halo[color], "rbgs_halo",
+        self._halo_exchange(level.color_batch[color], "rbgs_halo",
                             f"mg/L{level.index}/rbgs",
                             float(level.color_work[color]),
                             overlap_bytes=overlap)
 
     # --- restriction / refinement --------------------------------------------
     def _injection_halo(self, fine: SimLevel,
-                        coarse: SimLevel) -> Dict[Tuple[int, int], int]:
-        """Per-(src, dst) bytes of injection points crossing nodes.
+                        coarse: SimLevel) -> Tuple[np.ndarray, ...]:
+        """Injection points crossing nodes, as a ``send_many`` batch.
 
         Empty for the geometric partition (nested boxes); small but
         nonzero for BFS owners, whose levels are partitioned
@@ -187,20 +183,16 @@ class RefDistRun(SimulatedDistRun):
             src = fine.owners[fine.injection]
             dst = coarse.owners
             cross = src != dst
-            halo: Dict[Tuple[int, int], int] = {}
-            if cross.any():
-                pair = src[cross] * self.nprocs + dst[cross]
-                counts = np.bincount(pair)
-                for key in np.flatnonzero(counts):
-                    halo[(int(key) // self.nprocs,
-                          int(key) % self.nprocs)] = int(counts[key]) * 8
-            fine.restrict_halo = halo
+            counts = np.bincount(src[cross] * self.nprocs + dst[cross])
+            pairs = np.flatnonzero(counts)
+            fine.restrict_halo = (pairs // self.nprocs, pairs % self.nprocs,
+                                  counts[pairs] * 8)
         return fine.restrict_halo
 
     def _restrict_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         halo = self._injection_halo(fine, coarse)
         work = _RESTRICT_COPY_BYTES * self._vector_share(coarse.n)
-        if not halo:
+        if not halo[0].size:
             # injection source (2x, 2y, 2z) lies in the same node's box:
             # a local index copy, no messages, no barrier (paper §IV)
             self._tick_local(f"mg/L{fine.index}/restrict", work)
@@ -211,11 +203,10 @@ class RefDistRun(SimulatedDistRun):
     def _prolong_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         halo = self._injection_halo(fine, coarse)
         work = _RESTRICT_COPY_BYTES * self._vector_share(coarse.n)
-        if not halo:
+        if not halo[0].size:
             self._tick_local(f"mg/L{fine.index}/prolong", work)
         else:
             # the correction travels the opposite way
-            reverse = {(dst, src): nbytes
-                       for (src, dst), nbytes in halo.items()}
-            self._halo_exchange(reverse, "refine",
+            src, dst, nbytes = halo
+            self._halo_exchange((dst, src, nbytes), "refine",
                                 f"mg/L{fine.index}/prolong", work)

@@ -165,6 +165,9 @@ class SimulatedDistRun:
                     overlap_efficiency = profile.overlap_efficiency
         if nprocs < 1:
             raise InvalidValue(f"need at least one process, got {nprocs}")
+        if nprocs > problem.n:
+            raise InvalidValue(f"{nprocs} processes for {problem.n} rows: "
+                               f"every node needs at least one row")
         if mg_levels < 1:
             raise InvalidValue(f"need at least one MG level, got {mg_levels}")
         if problem.grid.max_mg_levels() < mg_levels:
@@ -499,16 +502,15 @@ class SimulatedDistRun:
         self._tick_local("cg/waxpby", _WAXPBY_BYTES * self._vector_share(n))
 
     # --- agglomerated-level pricing ------------------------------------------
-    def _agg_share_bytes(self, k: int, n: int) -> int:
-        """Node ``k``'s share of an ``n``-vector during gather/scatter."""
-        return Block1D(n, self.nprocs).local_size(k) * 8
+    def _agg_shares(self, n: int) -> np.ndarray:
+        """Every node's bytes of an ``n``-vector during gather/scatter."""
+        return Block1D(n, self.nprocs).sizes * 8
 
     def _agg_gather(self, fine: SimLevel, coarse: SimLevel) -> None:
         """Restriction into an agglomerated level: ship every node's
         share of the coarse residual to node 0 (one superstep)."""
-        for k in range(1, self.nprocs):
-            self.tracker.send(k, 0, self._agg_share_bytes(k, coarse.n),
-                              label="agg_gather")
+        self.tracker.send_many(np.arange(self.nprocs), 0,
+                               self._agg_shares(coarse.n), label="agg_gather")
         self._close_superstep(
             "agg_gather", f"mg/L{fine.index}/restrict",
             _RESTRICT_COPY_BYTES * self._vector_share(coarse.n),
@@ -517,9 +519,8 @@ class SimulatedDistRun:
     def _agg_scatter(self, fine: SimLevel, coarse: SimLevel) -> None:
         """Prolongation out of an agglomerated level: node 0 returns
         each node its share of the coarse correction (one superstep)."""
-        for k in range(1, self.nprocs):
-            self.tracker.send(0, k, self._agg_share_bytes(k, coarse.n),
-                              label="agg_scatter")
+        self.tracker.send_many(0, np.arange(self.nprocs),
+                               self._agg_shares(coarse.n), label="agg_scatter")
         self._close_superstep(
             "agg_scatter", f"mg/L{fine.index}/prolong",
             _RESTRICT_COPY_BYTES * self._vector_share(coarse.n),
@@ -693,11 +694,9 @@ class SimulatedDistRun:
         """
         with obs.span("fault/checkpoint", "fault", {"iteration": k}) as sp:
             before = self._seconds
-            for node in range(1, self.nprocs):
-                self.tracker.send(
-                    node, 0,
-                    self._CKPT_VECTORS * self._agg_share_bytes(node, self.n),
-                    label="checkpoint")
+            shares = self._CKPT_VECTORS * self._agg_shares(self.n)
+            self.tracker.send_many(np.arange(self.nprocs), 0, shares,
+                                   label="checkpoint")
             stats = self.tracker.sync(label="checkpoint")
             self._tick_superstep(
                 "fault/checkpoint",
@@ -727,11 +726,9 @@ class SimulatedDistRun:
                       {"iteration": checkpoint.k,
                        "nprocs": self.nprocs}) as sp:
             before = self._seconds
-            for node in range(1, self.nprocs):
-                self.tracker.send(
-                    0, node,
-                    self._CKPT_VECTORS * self._agg_share_bytes(node, self.n),
-                    label="restore")
+            shares = self._CKPT_VECTORS * self._agg_shares(self.n)
+            self.tracker.send_many(0, np.arange(self.nprocs), shares,
+                                   label="restore")
             stats = self.tracker.sync(label="restore")
             self._tick_superstep(
                 "fault/restore",

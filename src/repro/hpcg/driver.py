@@ -321,8 +321,11 @@ def _run_dist(args, plan) -> int:
     """
     problem = generate_problem(args.nx, args.ny, args.nz,
                                b_style=args.b_style)
-    result = _dist_backend(args.dist, problem, args, faults=plan).run_cg(
-        max_iters=args.iters, tolerance=args.tolerance)
+    try:
+        run = _dist_backend(args.dist, problem, args, faults=plan)
+    except InvalidValue as exc:      # p vs grid/rows/squareness
+        return _fail(str(exc))
+    result = run.run_cg(max_iters=args.iters, tolerance=args.tolerance)
     print(result.summary())
     if plan is not None and plan.active():
         clean = _dist_backend(args.dist, problem, args).run_cg(
@@ -536,7 +539,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"pushing metrics -> {pusher.target} on exit")
         result = None
         if args.dist is not None:
-            _run_dist(args, fault_plan)
+            if _run_dist(args, fault_plan):
+                return 2
         else:
             result = run_hpcg(
                 args.nx, args.ny, args.nz,

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dist.comm import CommTracker
+from repro.dist.comm import CommTracker, pair_batch
 from repro.util.errors import InvalidValue
 
 
@@ -68,6 +69,145 @@ class TestCollectives:
         t.allreduce_scalar()
         stats = t.sync()
         assert stats.sent[0] == 24  # 8 bytes to 3 peers
+
+
+# --- the per-message loops the closed forms replace (the oracle) ----------
+
+def _loop_allgather(t, sizes, label):
+    for src in range(t.nprocs):
+        for dst in range(t.nprocs):
+            t.send(src, dst, int(sizes[src]), label=label)
+
+
+def _loop_allreduce_scalar(t, nbytes, label):
+    _loop_allgather(t, [nbytes] * t.nprocs, label)
+
+
+def _loop_broadcast(t, root, nbytes, label):
+    for dst in range(t.nprocs):
+        t.send(root, dst, nbytes, label=label)
+
+
+def _loop_send_many(t, src, dst, nbytes, label):
+    for s, d, b in zip(src, dst, nbytes):
+        t.send(s, d, b, label=label)
+
+
+def _ledger(t, label):
+    """Everything a closed superstep leaves behind, value types included."""
+    stats = t.sync(label=label)
+    return (stats.sent.tolist(), stats.received.tolist(), stats.sent.dtype,
+            stats.received.dtype, stats.messages, type(stats.messages),
+            [(k, v, type(v)) for k, v in t.label_bytes.items()],
+            dict(t.label_syncs))
+
+
+def _same_ledger(fast, loop, p, label):
+    a, b = CommTracker(p), CommTracker(p)
+    fast(a)
+    loop(b)
+    assert _ledger(a, label) == _ledger(b, label)
+
+
+_procs = st.integers(1, 40)
+_label = st.sampled_from([None, "x"])
+# shares with plenty of zeros; the flag zeroes a case entirely
+_share = st.one_of(st.just(0), st.integers(1, 10_000))
+
+
+@st.composite
+def _shares(draw):
+    p = draw(_procs)
+    sizes = draw(st.lists(_share, min_size=p, max_size=p))
+    if draw(st.booleans()) and draw(st.booleans()):
+        sizes = [0] * p
+    return p, sizes
+
+
+@st.composite
+def _batches(draw):
+    p = draw(_procs)
+    rank = st.integers(0, p - 1)
+    n = draw(st.integers(0, 3 * p))
+    return (p, draw(st.lists(rank, min_size=n, max_size=n)),
+            draw(st.lists(rank, min_size=n, max_size=n)),
+            draw(st.lists(_share, min_size=n, max_size=n)))
+
+
+class TestClosedFormsMatchPerMessageLoop:
+    """The closed-form collectives and ``send_many`` leave exactly the
+    ledger a ``send`` per ordered pair would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shares(), _label)
+    def test_allgather(self, case, label):
+        p, sizes = case
+        _same_ledger(lambda t: t.allgather(np.array(sizes), label=label),
+                     lambda t: _loop_allgather(t, sizes, label), p, label)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_procs, st.integers(0, 64), _label)
+    def test_allreduce_scalar(self, p, nbytes, label):
+        _same_ledger(lambda t: t.allreduce_scalar(nbytes, label=label),
+                     lambda t: _loop_allreduce_scalar(t, nbytes, label),
+                     p, label)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_procs, st.data(), _share, _label)
+    def test_broadcast(self, p, data, nbytes, label):
+        root = data.draw(st.integers(0, p - 1))
+        _same_ledger(lambda t: t.broadcast(root, nbytes, label=label),
+                     lambda t: _loop_broadcast(t, root, nbytes, label),
+                     p, label)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(), _label)
+    def test_send_many(self, case, label):
+        p, src, dst, nbytes = case
+        _same_ledger(
+            lambda t: t.send_many(np.array(src, dtype=np.int64),
+                                  np.array(dst, dtype=np.int64),
+                                  np.array(nbytes, dtype=np.int64),
+                                  label=label),
+            lambda t: _loop_send_many(t, src, dst, nbytes, label), p, label)
+
+    def test_send_many_broadcasts_scalars(self):
+        p = 5
+        _same_ledger(lambda t: t.send_many(np.arange(p), 0, 16, label="g"),
+                     lambda t: _loop_send_many(t, range(p), [0] * p,
+                                               [16] * p, "g"), p, "g")
+
+    def test_pair_batch_round_trip(self):
+        pairs = {(0, 1): 8, (2, 0): 24, (1, 2): 16}
+        src, dst, nbytes = pair_batch(pairs)
+        assert {(s, d): b for s, d, b in zip(src.tolist(), dst.tolist(),
+                                             nbytes.tolist())} == pairs
+        assert all(a.size == 0 for a in pair_batch({}))
+
+
+class TestRejectedBatchLeavesLedger:
+    """A bad collective or batch raises before any counter moves."""
+
+    def _pending(self):
+        t = CommTracker(4)
+        t.send(0, 1, 5, label="x")
+        return t
+
+    @pytest.mark.parametrize("bad", [
+        lambda t: t.send_many([0, 1], [1, 4], [8, 8], label="x"),
+        lambda t: t.send_many([0, -1], [1, 2], [8, 8], label="x"),
+        lambda t: t.send_many([0, 1], [1, 2], [8, -8], label="x"),
+        lambda t: t.allgather([8, 8, 8], label="x"),
+        lambda t: t.allgather([8, 8, -1, 8], label="x"),
+        lambda t: t.allreduce_scalar(-8, label="x"),
+        lambda t: t.broadcast(4, 8, label="x"),
+        lambda t: t.broadcast(1, -8, label="x"),
+    ])
+    def test_raises_and_keeps_pending(self, bad):
+        t = self._pending()
+        with pytest.raises(InvalidValue):
+            bad(t)
+        assert _ledger(t, "x") == _ledger(self._pending(), "x")
 
 
 class TestSupersteps:

@@ -236,3 +236,36 @@ class TestAgglomeration:
     def test_negative_threshold_rejected(self, dist_problem):
         with pytest.raises(InvalidValue):
             RefDistRun(dist_problem, nprocs=4, agglomerate_below=-1)
+
+
+class TestSimulatorScaling:
+    """The simulator's own bookkeeping scales with p, not p²: counted in
+    ``send`` calls rather than seconds, so it holds on any host."""
+
+    def _run(self, problem, nprocs):
+        return HybridALPRun(problem, nprocs=nprocs, mg_levels=1).run_cg(
+            max_iters=2, tolerance=0)
+
+    def test_send_calls_linear_in_p(self, monkeypatch):
+        from repro.dist.comm import CommTracker
+        problem = generate_problem(8)
+        p = 512
+        calls = []
+        send = CommTracker.send
+
+        def counting_send(self, *args, **kwargs):
+            calls.append(1)
+            return send(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommTracker, "send", counting_send)
+        res = self._run(problem, p)
+        assert res.syncs > 0
+        # the per-pair loops made ~p² calls per superstep
+        assert len(calls) <= p * res.syncs
+        assert res.residuals == self._run(problem, 64).residuals
+
+    def test_more_procs_than_rows_rejected(self):
+        problem = generate_problem(4)
+        with pytest.raises(InvalidValue, match="every node needs"):
+            HybridALPRun(problem, nprocs=problem.n + 1, mg_levels=1)
+        HybridALPRun(problem, nprocs=problem.n, mg_levels=1)

@@ -208,3 +208,18 @@ class TestDistCli:
         assert "clean time-to-solution" in out
         assert "recoveries: 1" in out
         assert "final residual matches clean run: True" in out
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--dist", "ref-3d", "--nprocs", "7"], "not divisible"),
+        (["--nx", "15", "--dist", "ref-3d", "--nprocs", "8"],
+         "not divisible"),
+        (["--dist", "alp-2d", "--nprocs", "8"], "square"),
+        (["--dist", "alp-1d", "--nprocs", "5000"], "every node needs"),
+    ])
+    def test_bad_dist_config_one_line_exit_2(self, capsys, argv, fragment):
+        rc = main(["--iters", "1"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert fragment in err
+        assert "Traceback" not in err
