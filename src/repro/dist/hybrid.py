@@ -42,21 +42,6 @@ from repro.dist.simulate import (
 from repro.hpcg.problem import Problem
 
 
-def _allgather_matrix(part) -> np.ndarray:
-    """Per-(src, dst) bytes of one vector allgather under ``part``.
-
-    ``m[src, dst]`` is what ``src`` ships to ``dst`` when the full
-    vector is replicated: its own share (8 bytes per value) to every
-    other node, nothing to itself.
-    """
-    p = part.p
-    m = np.zeros((p, p), dtype=np.int64)
-    for src in range(p):
-        m[src, :] = part.local_size(src) * 8
-        m[src, src] = 0
-    return m
-
-
 class HybridALPRun(SimulatedDistRun):
     """Simulated distributed HPCG over 1D block-cyclic ALP containers."""
 
@@ -90,12 +75,12 @@ class HybridALPRun(SimulatedDistRun):
         level.partition = part
         owners = part.owner(np.arange(level.n, dtype=np.int64))
         level.owners = owners
+        # one allgather ships each node's share to every other node
         level.share_bytes = np.array(
             [part.local_size(k) * 8 for k in range(p)], dtype=np.int64
         )
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
         work_bytes = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
-        level.spmv_comm = _allgather_matrix(part)
         level.spmv_work = (work_bytes, rows)
         level.color_work = per_node_color_work(
             level.A, owners, level.colors, p, level.ncolors

@@ -58,7 +58,8 @@ def measure_once(local_nx: int, p: int) -> Table1Row:
     n = problem.n
     alp = HybridALPRun(problem, nprocs=p, mg_levels=1)
     ref = RefDistRun(problem, nprocs=p, mg_levels=1)
-    alp_comm = int(alp.levels[0].spmv_comm.sum(axis=1).max()) // 8
+    # an allgather ships the busiest node's share to each of p - 1 peers
+    alp_comm = int(alp.levels[0].share_bytes.max()) * (p - 1) // 8
     halo = ref.levels[0].spmv_halo
     ref_send = np.zeros(p, dtype=np.int64)
     for (src, _dst), nbytes in halo.items():

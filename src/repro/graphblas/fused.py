@@ -93,7 +93,7 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     if w.size != A.nrows or z.size != A.ncols or x.size != w.size:
         return False
     prov = A.provider()
-    if not bool((prov.row_nnz > 0).all()):
+    if prov.nonempty_rows.size != prov.nrows:
         return False
     from repro.graphblas.substrate import jit, threads
 

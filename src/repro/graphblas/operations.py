@@ -113,16 +113,37 @@ def _filter_segments(
 
 def _writeback(
     w: Vector,
-    rows: np.ndarray,
+    rows: Optional[np.ndarray],
     values: np.ndarray,
-    present: np.ndarray,
+    present: Optional[np.ndarray],
     accum: Optional[BinaryOp],
     desc: Descriptor,
 ) -> None:
-    """Merge computed (rows, values, present) into ``w`` per the spec."""
+    """Merge computed (rows, values, present) into ``w`` per the spec.
+
+    ``rows=None`` stands for every position of ``w`` and ``present=None``
+    for a value at every computed row.  Such dense results are written
+    in place: a whole-array store when they cover ``w`` without an
+    accumulator, ``w[rows] = accum(w[rows], values)`` into a dense ``w``.
+    Everything else runs the general merge.
+    """
     if desc.replace:
         w._values.fill(0)
         w._present.fill(False)
+    if present is None:
+        if accum is None and rows is None:
+            w._values[...] = values
+            w._present.fill(True)
+            w._bump()
+            return
+        if accum is not None and w._present.all():
+            at = slice(None) if rows is None else rows
+            w._values[at] = accum.vectorized(w._values[at], values)
+            w._bump()
+            return
+        present = np.ones(values.size, dtype=bool)
+    if rows is None:
+        rows = np.arange(w.size, dtype=np.int64)
     if accum is None:
         w._values[rows] = np.where(present, values, 0).astype(w.dtype, copy=False)
         w._present[rows] = present
@@ -175,23 +196,22 @@ def mxv(
         (u.size, csr_shape[1], "mxv input"),
     )
     sel = _mask_bool(mask, csr_shape[0], desc)
-    if sel is None:
-        rows = np.arange(csr_shape[0], dtype=np.int64)
-    else:
-        rows = np.flatnonzero(sel)
+    rows = None if sel is None else np.flatnonzero(sel)
+    nrows = csr_shape[0] if rows is None else rows.size
 
-    u_dense = u.is_dense()
-    if semiring.is_plus_times and u_dense:
-        values, present, nnz, flops, nbytes, fmt = _mxv_fast(
-            A, u, rows, sel is not None, mask, desc
+    if semiring.is_plus_times and u.is_dense():
+        rows, values, present, nnz, flops, nbytes, fmt = _mxv_fast(
+            A, u, rows, mask, desc, accum
         )
     else:
+        if rows is None:
+            rows = np.arange(nrows, dtype=np.int64)
         values, present, nnz = _mxv_generic(A, u, rows, semiring, desc)
         flops = 2 * nnz
-        nbytes = nnz * 16 + rows.size * 16
+        nbytes = nnz * 16 + nrows * 16
         fmt = "csr"
     if backend.active():
-        backend.record("mxv", rows.size, nnz, flops, nbytes, fmt=fmt)
+        backend.record("mxv", nrows, nnz, flops, nbytes, fmt=fmt)
     values = values.astype(w.dtype, copy=False)
     _writeback(w, rows, values, present, accum, desc)
     return w
@@ -200,22 +220,35 @@ def mxv(
 def _mxv_fast(
     A: Matrix,
     u: Vector,
-    rows: np.ndarray,
-    masked: bool,
+    rows: Optional[np.ndarray],
     mask: Optional[Vector],
     desc: Descriptor,
-) -> Tuple[np.ndarray, np.ndarray, int, int, int, str]:
+    accum: Optional[BinaryOp],
+) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray],
+           int, int, int, str]:
     """plus-times with dense input: the active substrate provider's kernel.
 
-    Returns ``(values, present, nnz, flops, bytes, fmt)`` — traffic
-    priced by the provider's own format model, so a SELL-C-σ run and a
-    CSR run of the same algorithm emit different byte streams.
+    ``rows`` is the masked row set, ``None`` when unmasked.  Returns
+    ``(rows, values, present, nnz, flops, bytes, fmt)``: the
+    :func:`_writeback` operands, then traffic priced by the provider's
+    own format model, so a SELL-C-σ run and a CSR run of the same
+    algorithm emit different byte streams.
     """
-    if not masked:
+    if rows is None:
         prov = A.provider(desc.transpose_matrix)
         y = prov.mxv(u._values)
         flops, nbytes = prov.mxv_traffic()
-        return y, prov.row_nnz > 0, prov.nnz, flops, nbytes, prov.name
+        stored = prov.nonempty_rows
+        if stored.size == prov.nrows:
+            present = None                      # a dense result
+        elif accum is not None:
+            # only stored rows carry a value, so only they touch w
+            rows, y, present = stored, y[stored], None
+        else:
+            # the rows without one lose their entry in w
+            present = np.zeros(prov.nrows, dtype=bool)
+            present[stored] = True
+        return rows, y, present, prov.nnz, flops, nbytes, prov.name
     # Masked: invert_mask and value-masks change the row set per call, so
     # only structural non-inverted masks hit the substructure cache;
     # transient row subsets run on the reference CSR path.
@@ -226,13 +259,14 @@ def _mxv_fast(
         )
         y = sub.mxv(u._values)
         flops, nbytes = sub.mxv_traffic()
-        return y, sub.row_nnz > 0, sub.nnz, flops, nbytes, sub.name
+        return rows, y, sub.row_nnz > 0, sub.nnz, flops, nbytes, sub.name
     base = A._transposed_csr() if desc.transpose_matrix else A._csr
     sub = base[rows, :]
     y = sub @ u._values
     row_nnz = np.diff(sub.indptr)
     nnz = int(sub.nnz)
-    return y, row_nnz > 0, nnz, 2 * nnz, nnz * 16 + rows.size * 16, "csr"
+    return (rows, y, row_nnz > 0, nnz, 2 * nnz, nnz * 16 + rows.size * 16,
+            "csr")
 
 
 def _mxv_generic(

@@ -106,6 +106,7 @@ class KernelProvider(abc.ABC):
             csr.sum_duplicates()
         self._csr = csr
         self._row_nnz = np.diff(csr.indptr)
+        self._nonempty: Optional[np.ndarray] = None
         self._build()
 
     # --- structure ---------------------------------------------------------
@@ -142,6 +143,17 @@ class KernelProvider(abc.ABC):
     def row_nnz(self) -> np.ndarray:
         """Stored entries per row (drives output-presence semantics)."""
         return self._row_nnz
+
+    @property
+    def nonempty_rows(self) -> np.ndarray:
+        """Indices of the rows with a stored entry (built once, cached).
+
+        An ``mxv`` result has a value exactly there; when this covers
+        every row the product's output is dense.
+        """
+        if self._nonempty is None:
+            self._nonempty = np.flatnonzero(self._row_nnz)
+        return self._nonempty
 
     def profile(self) -> MatrixProfile:
         return MatrixProfile.from_csr(self._csr)

@@ -11,6 +11,10 @@ Public API::
 All numerical code in this package programs against the opaque
 :mod:`repro.graphblas` containers only; tests enforce that no module
 here touches backend storage.
+
+``run_hpcg`` and ``HPCGResult`` resolve on first use: importing
+:mod:`repro.hpcg.driver` here would run it twice under
+``python -m repro.hpcg.driver``.
 """
 
 from repro.hpcg.cg import CGResult, pcg
@@ -23,7 +27,6 @@ from repro.hpcg.coloring import (
     num_colors,
     validate_coloring,
 )
-from repro.hpcg.driver import HPCGResult, run_hpcg
 from repro.hpcg.multigrid import (
     MGLevel,
     MGPreconditioner,
@@ -65,3 +68,9 @@ __all__ = [
     "render_report",
     "report_dict",
 ]
+
+def __getattr__(name):
+    if name in ("HPCGResult", "run_hpcg"):
+        from repro.hpcg import driver
+        return getattr(driver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dist import HybridALPRun, RefDistRun, factor3
-from repro.dist.hybrid import _allgather_matrix
 from repro.dist.partition import BlockCyclic1D
 from repro.hpcg.driver import run_hpcg
 from repro.hpcg.problem import generate_problem
@@ -34,11 +33,16 @@ class TestHybridALP:
         expected = (n // 4) * 8 * 3
         assert res.tracker.max_send_per_node() == expected
 
-    def test_allgather_matrix_zero_diag(self):
-        part = BlockCyclic1D(100, 4, block=8)
-        m = _allgather_matrix(part)
-        assert (np.diag(m) == 0).all()
-        assert m.sum() == sum(part.local_size(k) for k in range(4)) * 8 * 3
+    def test_share_bytes_cover_vector(self):
+        """Each node's allgather share is its own block-cyclic slice."""
+        problem = generate_problem(4, 5, 5)          # 100 rows: uneven
+        run = HybridALPRun(problem, nprocs=4, mg_levels=1, block=8)
+        level = run.levels[0]
+        part = level.partition
+        assert level.share_bytes.tolist() == [
+            part.local_size(k) * 8 for k in range(4)]
+        assert level.share_bytes.sum() == problem.n * 8
+        assert len(set(level.share_bytes.tolist())) > 1
 
     def test_comm_grows_linearly_with_p(self):
         """The Table-I ALP column: per-node send ~ n (p-1)/p."""
@@ -263,6 +267,25 @@ class TestSimulatorScaling:
         # the per-pair loops made ~p² calls per superstep
         assert len(calls) <= p * res.syncs
         assert res.residuals == self._run(problem, 64).residuals
+
+    def test_levels_hold_no_p_squared_arrays(self):
+        """At p = 4096 every per-level array stays O(p): the allgather
+        is priced from the per-node share vector, not a p x p matrix."""
+        p = 4096
+        run = HybridALPRun(generate_problem(16), nprocs=p, mg_levels=1)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+
+        for level in run.levels:
+            sizes = {name: a.size for name, v in vars(level).items()
+                     for a in arrays(v)}
+            assert sizes, "level holds no arrays"
+            assert max(sizes.values()) <= 4 * p, sizes
 
     def test_more_procs_than_rows_rejected(self):
         problem = generate_problem(4)

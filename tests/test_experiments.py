@@ -41,6 +41,21 @@ class TestTable1:
         text = table1.render(rows)
         assert "Table I" in text and "exponent" in text
 
+    def test_rows_pinned(self):
+        """The ALP column reads the per-node share, not a p x p matrix;
+        every field equals the figures the matrix-based code produced."""
+        rows = table1.run(local_sizes=(8,), procs=(2, 4))
+        assert rows == [
+            table1.Table1Row(n=1024, p=2, alp_comm_values=512,
+                             ref_comm_values=64, alp_work_rows=512,
+                             ref_work_rows=512, alp_syncs_per_mxv=1.0,
+                             ref_syncs_per_mxv=1.0),
+            table1.Table1Row(n=2048, p=4, alp_comm_values=1536,
+                             ref_comm_values=136, alp_work_rows=512,
+                             ref_work_rows=512, alp_syncs_per_mxv=1.0,
+                             ref_syncs_per_mxv=1.0),
+        ]
+
 
 class TestTable2:
     def test_render_contains_machines(self):

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import graphblas as grb
 from repro.graphblas import descriptor as d
 from repro.graphblas.matrix import Matrix
+from repro.graphblas.operations import _mxv_generic
 from repro.graphblas.vector import Vector
+from repro.grid import Grid3D
+from repro.hpcg.problem import generate_problem
+from repro.hpcg.restriction import build_restriction, prolong_add, restrict
 from repro.util.errors import DimensionMismatch, InvalidValue, OutputAliasing
 
 
@@ -267,8 +272,129 @@ class TestEvents:
         assert log.count("mxv") == 1
         assert log.total("flops", op="mxv") == 2 * A.nvals
 
+    def test_hpcg_operator_events_pinned(self):
+        """The (op, rows, nnz, flops, bytes, fmt) of the solver's three
+        unmasked products at 8^3: per-layer GB/s divide by these."""
+        A = generate_problem(8).A.set_substrate("csr")
+        R = build_restriction(Grid3D(8, 8, 8)).set_substrate("csr")
+        log = grb.backend.EventLog()
+        with grb.backend.collect(log):
+            grb.mxv(Vector.dense(512), None, A, Vector.dense(512, 1.0))
+            restrict(Vector.dense(64), R, Vector.dense(512, 1.0))
+            prolong_add(Vector.dense(512), R, Vector.dense(64, 1.0))
+        assert [(e.op, e.rows, e.nnz, e.flops, e.bytes, e.fmt)
+                for e in log.events] == [
+            ("mxv", 512, 10648, 21296, 178560, "csr"),
+            ("mxv", 64, 64, 128, 2048, "csr"),
+            ("mxv", 512, 64, 128, 9216, "csr"),
+        ]
+
     def test_label_propagates(self, A, x):
         log = grb.backend.EventLog()
         with grb.backend.collect(log), grb.backend.labelled("spmv"):
             grb.mxv(Vector.dense(3), None, A, x)
         assert log.events[0].label == "spmv"
+
+
+# ---------------------------------------------------------------------------
+# the writeback against the spec, on random operators
+# ---------------------------------------------------------------------------
+
+_ACCUMS = {"none": None, "plus": grb.ops.plus, "second": grb.ops.second}
+# small nonzero integers: every product and sum is exact, so the
+# reference kernel and the gather/segment-reduce oracle agree to the
+# byte whatever their summation order; the writeback is under test
+_INTS = st.integers(-8, 8).filter(bool).map(float)
+
+
+@st.composite
+def mxv_case(draw):
+    nout = draw(st.integers(1, 10))
+    nin = nout if draw(st.booleans()) else draw(st.integers(1, 10))
+    cells = draw(st.sets(st.tuples(st.integers(0, nout - 1),
+                                   st.integers(0, nin - 1)), max_size=30))
+    if draw(st.booleans()):              # every output row stored
+        cells |= {(i, draw(st.integers(0, nin - 1))) for i in range(nout)}
+    cells = sorted(cells)
+    vals = draw(st.lists(_INTS, min_size=len(cells), max_size=len(cells)))
+    transpose = draw(st.booleans())
+    rows = np.array([c[0] for c in cells], dtype=np.int64)
+    cols = np.array([c[1] for c in cells], dtype=np.int64)
+    if transpose:                        # store A so that A' is the operator
+        A = Matrix.from_coo(cols, rows, vals, nin, nout)
+    else:
+        A = Matrix.from_coo(rows, cols, vals, nout, nin)
+    u_vals = draw(st.lists(_INTS, min_size=nin, max_size=nin))
+    u_mask = draw(st.lists(st.booleans(), min_size=nin, max_size=nin))
+    if draw(st.booleans()):
+        u_mask = [True] * nin            # the provider-kernel path
+    w_vals = draw(st.lists(_INTS, min_size=nout, max_size=nout))
+    w_mask = draw(st.lists(st.booleans(), min_size=nout, max_size=nout))
+    if draw(st.booleans()):
+        w_mask = [True] * nout           # the in-place dense paths
+    accum = draw(st.sampled_from(sorted(_ACCUMS)))
+    return A, transpose, u_vals, u_mask, w_vals, w_mask, accum
+
+
+def _vector(vals, mask):
+    idx = np.flatnonzero(mask)
+    return Vector.from_coo(idx, np.asarray(vals)[idx], len(vals))
+
+
+def _spec_mxv(w, A, u, desc, accum):
+    """``w = A u`` (or ``w = w accum A u``) merged per the GraphBLAS
+    spec from the generic product: (indices, values) of the result."""
+    t_vals, t_present, _ = _mxv_generic(
+        A, u, np.arange(w.size, dtype=np.int64), grb.plus_times, desc)
+    values = w.to_dense()
+    present = np.zeros(w.size, dtype=bool)
+    present[w.to_coo()[0]] = True
+    if accum is None:
+        values, present = np.where(t_present, t_vals, 0.0), t_present
+    else:
+        both = present & t_present
+        values[both] = accum.vectorized(values[both], t_vals[both])
+        fresh = t_present & ~present
+        values[fresh] = t_vals[fresh]
+        present = present | t_present
+    idx = np.flatnonzero(present)
+    return idx, values[idx]
+
+
+class TestWritebackMatchesSpec:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mxv_case())
+    def test_values_presence_and_one_bump(self, case):
+        A, transpose, u_vals, u_mask, w_vals, w_mask, accum_name = case
+        accum = _ACCUMS[accum_name]
+        desc = d.transpose_matrix if transpose else d.default
+        u = _vector(u_vals, u_mask)
+        w = _vector(w_vals, w_mask)
+        want_idx, want_vals = _spec_mxv(w, A, u, desc, accum)
+        before = w.version
+        grb.mxv(w, None, A, u, desc=desc, accum=accum)
+        got_idx, got_vals = w.to_coo()
+        np.testing.assert_array_equal(got_idx, want_idx)
+        assert got_vals.tobytes() == want_vals.tobytes()
+        assert w.version == before + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_prolong_touches_only_injection_points(self, data):
+        fine = Grid3D(4, 4, 4)
+        R = build_restriction(fine)
+        inj = fine.injection_indices()
+        finite = st.floats(allow_nan=False, width=64)
+        zf_vals = np.array(data.draw(st.lists(
+            finite, min_size=R.ncols, max_size=R.ncols)))
+        zc_vals = np.array(data.draw(st.lists(
+            finite, min_size=R.nrows, max_size=R.nrows)))
+        zf = Vector.from_dense(zf_vals)
+        prolong_add(zf, R, Vector.from_dense(zc_vals))
+        got = zf.to_dense()
+        rest = np.ones(R.ncols, dtype=bool)
+        rest[inj] = False
+        assert got[rest].tobytes() == zf_vals[rest].tobytes()
+        np.testing.assert_array_equal(got[inj],
+                                      zf_vals[inj] + (0.0 + zc_vals))
